@@ -38,6 +38,15 @@ Timing queries (``delta_before``/``delta_through``/``global_finish``/
 (barriers contribute zero, so a region sum is a difference of two
 prefix sums and ``LastBar`` is one array lookup).
 
+Per-PE state is **sparse**.  A PE whose stream is only ``b0`` is
+*idle*: every idle PE shares one read-only stream ``(b0,)`` and one set
+of read-only tables, and a PE gets its own stream and tables on its
+first :meth:`append_instruction` or :meth:`insert_barrier`.  Every
+walk over processors (construction, scratch rebuilds, ``makespan``,
+``used_processors``) runs over :attr:`active_pes` only, so a 1024-PE
+machine on which a block uses a dozen PEs costs about what a 16-PE
+machine does.
+
 Set ``REPRO_CHECK_INCREMENTAL=1`` to cross-check every incremental view
 against a scratch rebuild after each mutation (slow; debug/CI only).
 
@@ -49,7 +58,8 @@ The scheduler (:mod:`repro.core.scheduler`) mutates the schedule through
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from types import MappingProxyType
 from typing import Iterator, Union
 
 from repro import kernels
@@ -75,6 +85,42 @@ def _hb_key(item: Item) -> HbKey:
     return ("n", item)
 
 
+class _PerPE(dict):
+    """A per-PE table holding entries for active PEs only.
+
+    Reading an idle PE returns the subclass's shared read-only ``IDLE``
+    table -- that of the stream ``(b0,)`` -- without inserting it, so
+    read paths need no idle case of their own.
+    """
+
+    __slots__ = ()
+    IDLE: object = None
+
+    def __missing__(self, pe: int):
+        return self.IDLE
+
+
+class _CumTable(_PerPE):
+    """Prefix sums: b0 adds no latency."""
+
+    __slots__ = ()
+    IDLE = (0, 0)
+
+
+class _PositionTable(_PerPE):
+    """Last-barrier and barrier positions: b0 at index 0."""
+
+    __slots__ = ()
+    IDLE = (0,)
+
+
+class _BarIndexTable(_PerPE):
+    """Barrier id -> position: b0 (always id 0) at index 0."""
+
+    __slots__ = ()
+    IDLE = MappingProxyType({0: 0})
+
+
 class Schedule:
     """Mutable per-processor streams plus incrementally maintained views."""
 
@@ -92,9 +138,15 @@ class Schedule:
         self.barrier_latency = barrier_latency
         self.initial_barrier = Barrier(0, range(n_pes), is_initial=True)
         self._next_barrier_id = 1
-        self.streams: list[list[Item]] = [
-            [self.initial_barrier] for _ in range(n_pes)
-        ]
+        #: The one stream every idle PE shares (read-only).
+        self.idle_stream: tuple[Item, ...] = (self.initial_barrier,)
+        #: Length ``n_pes``: a list per active PE, ``idle_stream`` for
+        #: every idle one.
+        self.streams: list[list[Item] | tuple[Item, ...]] = [
+            self.idle_stream
+        ] * n_pes
+        #: Ascending PEs whose stream is more than ``b0``.
+        self._active: list[int] = []
         self._processor_of: dict[NodeId, int] = {}
         #: Total mutation count (observability only -- the caches below
         #: are maintained incrementally, not keyed on a revision).
@@ -103,19 +155,20 @@ class Schedule:
         #: (insert/replace).  ``revision - structure_revision`` is the
         #: content revision (instruction appends).
         self.structure_revision = 0
-        # -- per-stream auxiliary tables (O(1) queries, patched per mutation)
+        # -- per-stream auxiliary tables (O(1) queries, patched per mutation;
+        # entries for active PEs only, see _PerPE)
         #: instruction -> (pe, stream index)
         self._pos: dict[NodeId, tuple[int, int]] = {}
         #: prefix sums of item latencies; barriers contribute 0, so
         #: ``cum[j] - cum[i]`` is the region time of items ``i..j-1``.
-        self._cum_lo: list[list[int]] = [[] for _ in range(n_pes)]
-        self._cum_hi: list[list[int]] = [[] for _ in range(n_pes)]
+        self._cum_lo: dict[int, list[int]] = _CumTable()
+        self._cum_hi: dict[int, list[int]] = _CumTable()
         #: position of the last barrier at index <= k
-        self._lastbar: list[list[int]] = [[] for _ in range(n_pes)]
+        self._lastbar: dict[int, list[int]] = _PositionTable()
         #: sorted positions of the stream's barriers
-        self._barpos: list[list[int]] = [[] for _ in range(n_pes)]
+        self._barpos: dict[int, list[int]] = _PositionTable()
         #: barrier id -> position within the stream
-        self._barindex: list[dict[int, int]] = [{} for _ in range(n_pes)]
+        self._barindex: dict[int, dict[int, int]] = _BarIndexTable()
         #: barrier id -> Barrier, every barrier present in some stream
         self._registry: dict[int, Barrier] = {}
         #: (u, v) barrier-id pair -> {pe: (lo, hi) region sum}: the
@@ -131,18 +184,6 @@ class Schedule:
         #: adjacency list.  Lives and dies with ``_hb_cache``.
         self._hb_pred_cache: dict[HbKey, list[HbKey]] | None = None
         self._hbdesc_cache: dict[int, frozenset[int]] | None = None
-        #: per-PE id of the stream's last barrier and the hi-latency sum
-        #: of the instructions after it -- exact at every revision, so
-        #: the completion vector (numpy assign kernel) is a gather plus
-        #: one vector add instead of an O(n_pes) python walk.
-        self._last_bid: list[int] = [0] * n_pes
-        self._tail_hi: list[int] = [0] * n_pes
-        #: int64 vector of completion_hi(pe) for all PEs (numpy assign
-        #: kernel); valid only while ``_comp_vec_rev == revision``.
-        #: Appends patch it in place (+lat.hi on one PE); structural
-        #: mutations drop it with the fire cache.
-        self._comp_vec = None
-        self._comp_vec_rev = -1
         self._check = os.environ.get("REPRO_CHECK_INCREMENTAL", "") not in ("", "0")
         self._rebuild_tables()
 
@@ -194,20 +235,50 @@ class Schedule:
 
     def used_processors(self) -> int:
         """Processors with at least one instruction."""
-        return sum(1 for pe in range(self.n_pes) if self.instructions_on(pe))
+        barpos = self._barpos
+        streams = self.streams
+        return sum(1 for pe in self._active if len(barpos[pe]) < len(streams[pe]))
+
+    @property
+    def active_pes(self) -> list[int]:
+        """Ascending PEs whose stream holds more than ``b0`` (read-only:
+        callers must not mutate the list)."""
+        return self._active
+
+    @property
+    def n_idle(self) -> int:
+        """PEs whose stream is only ``b0``; they all share ``idle_stream``."""
+        return self.n_pes - len(self._active)
 
     # -- auxiliary-table maintenance ---------------------------------------------
 
+    def _activate(self, pe: int) -> None:
+        """Give idle ``pe`` its own stream and tables (first mutation)."""
+        if not 0 <= pe < self.n_pes:
+            raise ValueError(f"PE {pe} out of range [0, {self.n_pes})")
+        self.streams[pe] = [self.initial_barrier]
+        self._cum_lo[pe] = [0, 0]
+        self._cum_hi[pe] = [0, 0]
+        self._lastbar[pe] = [0]
+        self._barpos[pe] = [0]
+        self._barindex[pe] = {self.initial_barrier.id: 0}
+        insort(self._active, pe)
+
     def _rebuild_tables(self) -> None:
-        """Recompute every auxiliary table from the streams (construction,
-        re-binding) and drop all derived-view caches."""
-        self._registry = {}
-        for stream in self.streams:
-            for item in stream:
+        """Recompute every auxiliary table from the active streams
+        (construction, re-binding) and drop all derived-view caches."""
+        b0 = self.initial_barrier
+        self._registry = {b0.id: b0}
+        for pe in self._active:
+            for item in self.streams[pe]:
                 if isinstance(item, Barrier):
                     self._registry.setdefault(item.id, item)
         self._pos = {}
-        for pe in range(self.n_pes):
+        for table in (
+            self._cum_lo, self._cum_hi, self._lastbar, self._barpos, self._barindex
+        ):
+            table.clear()
+        for pe in self._active:
             self._reindex_stream(pe)
         self._rebuild_contrib()
         self._bd_cache = None
@@ -216,7 +287,6 @@ class Schedule:
         self._hb_cache = None
         self._hb_pred_cache = None
         self._hbdesc_cache = None
-        self._comp_vec = None
 
     def _reindex_stream(self, pe: int) -> None:
         """Rebuild one stream's prefix sums / barrier-position tables."""
@@ -248,13 +318,13 @@ class Schedule:
         self._lastbar[pe] = lastbar
         self._barpos[pe] = barpos
         self._barindex[pe] = barindex
-        self._last_bid[pe] = stream[last].id  # every stream starts with b0
-        self._tail_hi[pe] = hi - cum_hi[last + 1]
 
     def _rebuild_contrib(self) -> None:
+        # Idle streams hold no barrier pair, so only active ones contribute.
         contrib: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
         dag = self.dag
-        for pe, stream in enumerate(self.streams):
+        for pe in self._active:
+            stream = self.streams[pe]
             prev: Barrier | None = None
             lo = hi = 0
             for item in stream:
@@ -288,23 +358,21 @@ class Schedule:
             raise ValueError("dummy nodes are never scheduled")
         if node not in self.dag:
             raise ValueError(f"node {node!r} is not in the instruction DAG")
+        if pe not in self._barindex:
+            self._activate(pe)
         stream = self.streams[pe]
         idx = len(stream)
         stream.append(node)
         self._processor_of[node] = pe
         self._pos[node] = (pe, idx)
         lat = self.dag.latency(node)
-        self._cum_lo[pe].append(self._cum_lo[pe][-1] + lat.lo)
-        self._cum_hi[pe].append(self._cum_hi[pe][-1] + lat.hi)
-        self._lastbar[pe].append(self._lastbar[pe][-1])
-        self._tail_hi[pe] += lat.hi
+        cum_lo = self._cum_lo[pe]
+        cum_lo.append(cum_lo[-1] + lat.lo)
+        cum_hi = self._cum_hi[pe]
+        cum_hi.append(cum_hi[-1] + lat.hi)
+        lastbar = self._lastbar[pe]
+        lastbar.append(lastbar[-1])
         self._bump()
-        # Exact completion-vector patch: fire times and the last-barrier
-        # position are untouched by a content append, so only this PE's
-        # completion moves, by exactly the appended latency.
-        if self._comp_vec is not None and self._comp_vec_rev == self.revision - 1:
-            self._comp_vec[pe] += lat.hi
-            self._comp_vec_rev = self.revision
         # A content mutation: the node lands in the open region after the
         # stream's last barrier, which no barrier-dag edge covers yet, so
         # the cached dag / dominator tree / fire times all stay valid.  H
@@ -331,6 +399,8 @@ class Schedule:
         if not placements:
             raise ValueError("a barrier needs at least one participant")
         for pe, idx in placements.items():
+            if not 0 <= pe < self.n_pes:
+                raise ValueError(f"PE {pe} out of range [0, {self.n_pes})")
             stream = self.streams[pe]
             if not 1 <= idx <= len(stream):
                 raise ValueError(
@@ -362,6 +432,8 @@ class Schedule:
             w_ub = (cum_lo[idx] - cum_lo[u_pos + 1], cum_hi[idx] - cum_hi[u_pos + 1])
             splits.append((pe, u_id, v_id, w_ub, w_bv))
         for pe, idx in placements.items():
+            if pe not in self._barindex:
+                self._activate(pe)
             self.streams[pe].insert(idx, barrier)
         for pe in placements:
             self._reindex_stream(pe)
@@ -404,7 +476,6 @@ class Schedule:
         else:
             self._dom_cache = None
         self._fire_cache = None
-        self._comp_vec = None
         if self._hb_cache is not None:
             self._patch_hb_insert(barrier, placements)
             if self._hbdesc_cache is not None:
@@ -422,8 +493,10 @@ class Schedule:
         first so participant bookkeeping stays consistent."""
         if old.is_initial:
             raise ValueError("the initial barrier is never merged away")
+        # A barrier sits on exactly its participants (check_structure), so
+        # they are the only streams to search.
         swaps: list[tuple[int, int]] = []
-        for pe in range(self.n_pes):
+        for pe in sorted(old.participants):
             pos = self._barindex[pe].get(old.id)
             if pos is not None and self.streams[pe][pos] is old:
                 swaps.append((pe, pos))
@@ -445,8 +518,6 @@ class Schedule:
             barindex = self._barindex[pe]
             del barindex[old.id]
             barindex[new.id] = pos
-            if self._last_bid[pe] == old.id:
-                self._last_bid[pe] = new.id
         del self._registry[old.id]
         self._registry[new.id] = new
         # Move the per-stream contributions from old-keyed to new-keyed
@@ -491,7 +562,6 @@ class Schedule:
         else:
             self._dom_cache = None
         self._fire_cache = None
-        self._comp_vec = None
         if self._hb_cache is not None:
             self._patch_hb_replace(old, new)
         if self._hbdesc_cache is not None:
@@ -669,10 +739,14 @@ class Schedule:
             copy.merged_from = list(old.merged_from)
             copies[old.id] = copy
         clone.initial_barrier = copies[self.initial_barrier.id]
-        clone.streams = [
-            [copies[item.id] if isinstance(item, Barrier) else item for item in stream]
-            for stream in self.streams
-        ]
+        clone.idle_stream = (clone.initial_barrier,)
+        clone.streams = [clone.idle_stream] * self.n_pes
+        for pe in self._active:
+            clone.streams[pe] = [
+                copies[item.id] if isinstance(item, Barrier) else item
+                for item in self.streams[pe]
+            ]
+        clone._active = list(self._active)
         clone._processor_of = dict(self._processor_of)
         clone._next_barrier_id = self._next_barrier_id
         clone._rebuild_tables()
@@ -775,13 +849,14 @@ class Schedule:
 
     def _scratch_barrier_dag(self) -> BarrierDag:
         """Full rebuild from the streams (cold cache, and the debug-mode
-        reference the incremental snapshots are checked against)."""
+        reference the incremental snapshots are checked against).  Idle
+        streams hold b0 alone, so only active ones are walked."""
         region: dict[tuple[int, int], Interval] = {}
         barriers: dict[int, Barrier] = {self.initial_barrier.id: self.initial_barrier}
-        for stream in self.streams:
+        for pe in self._active:
             prev: Barrier | None = None
             acc = ZERO
-            for item in stream:
+            for item in self.streams[pe]:
                 if isinstance(item, Barrier):
                     barriers.setdefault(item.id, item)
                     if prev is not None:
@@ -833,10 +908,11 @@ class Schedule:
         return self._hb_cache
 
     def _scratch_hb_successors(self) -> dict[HbKey, list[HbKey]]:
-        succs: dict[HbKey, list[HbKey]] = {}
-        for stream in self.streams:
+        # An idle stream adds only the b0 node, which heads every stream.
+        succs: dict[HbKey, list[HbKey]] = {_hb_key(self.initial_barrier): []}
+        for pe in self._active:
             prev_key: HbKey | None = None
-            for item in stream:
+            for item in self.streams[pe]:
                 key = _hb_key(item)
                 succs.setdefault(key, [])
                 if prev_key is not None and key not in succs[prev_key]:
@@ -1046,30 +1122,19 @@ class Schedule:
         return self.fire_times()[stream[j].id].hi + ch[n] - ch[j + 1]
 
     def completion_hi_all(self):
-        """:meth:`completion_hi` of every PE as one shared int64 numpy
-        vector (the assignment kernel's hot input).  Callers must not
-        mutate the returned array.
-
-        The per-PE last-barrier ids and post-barrier latency sums are
-        maintained exactly across mutations, so the rebuild is a fire
-        gather plus one vector add -- O(barriers + n_pes array ops),
-        never an O(n_pes) python walk.
-        """
-        if self._comp_vec is not None and self._comp_vec_rev == self.revision:
-            return self._comp_vec
+        """:meth:`completion_hi` of every PE as an int64 numpy vector (the
+        assignment kernel's input).  Idle PEs finish when b0 fires, at 0,
+        so only active PEs are computed."""
         np = kernels.numpy()
-        fire_hi = np.zeros(self._next_barrier_id, dtype=np.int64)
-        for bid, window in self.fire_times().items():
-            fire_hi[bid] = window.hi
-        vec = fire_hi[np.asarray(self._last_bid, dtype=np.int64)]
-        vec += np.asarray(self._tail_hi, dtype=np.int64)
-        self._comp_vec = vec
-        self._comp_vec_rev = self.revision
+        vec = np.zeros(self.n_pes, dtype=np.int64)
+        if self._active:
+            vec[self._active] = [self.completion_hi(pe) for pe in self._active]
         return vec
 
     def makespan(self) -> Interval:
-        """``[min,max]`` completion time of the whole schedule."""
-        return interval_max(self.completion(pe) for pe in range(self.n_pes))
+        """``[min,max]`` completion time of the whole schedule.  Idle PEs
+        finish at ``[0,0]``, which never raises the join."""
+        return interval_max(self.completion(pe) for pe in self._active)
 
     # -- debug cross-checks (REPRO_CHECK_INCREMENTAL=1) --------------------------------
 
@@ -1152,8 +1217,33 @@ class Schedule:
             registry[bid] is not self._registry[bid] for bid in registry
         ):
             raise AssertionError("barrier registry diverged from streams")
+        # Sparse state: the active set is exactly the non-idle streams,
+        # and idle PEs share the idle stream and hold no tables.
+        b0 = self.initial_barrier
+        if len(self.idle_stream) != 1 or self.idle_stream[0] is not b0:
+            raise AssertionError("the shared idle stream is not (b0,)")
+        active = [
+            pe
+            for pe, stream in enumerate(self.streams)
+            if len(stream) != 1 or stream[0] is not b0
+        ]
+        if active != self._active:
+            raise AssertionError("active PE set diverged from the non-idle streams")
+        active_set = set(active)
+        if any(
+            stream is not self.idle_stream
+            for pe, stream in enumerate(self.streams)
+            if pe not in active_set
+        ):
+            raise AssertionError("an idle PE does not share the idle stream")
+        for table in (
+            self._cum_lo, self._cum_hi, self._lastbar, self._barpos, self._barindex
+        ):
+            if table.keys() != active_set:
+                raise AssertionError("per-PE tables exist for an idle PE")
         pos: dict[NodeId, tuple[int, int]] = {}
-        for pe, stream in enumerate(self.streams):
+        for pe in active:
+            stream = self.streams[pe]
             cum_lo = [0]
             cum_hi = [0]
             lastbar: list[int] = []

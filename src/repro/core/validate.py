@@ -52,11 +52,20 @@ class Violation:
 
 
 def check_structure(schedule: Schedule) -> None:
-    """Raise :class:`ScheduleError` on structural breakage (not timing)."""
+    """Raise :class:`ScheduleError` on structural breakage (not timing).
+
+    Walks the active PEs only: every idle PE shares ``idle_stream``,
+    which is checked once to be exactly ``(b0,)``.
+    """
     dag = schedule.dag
+    b0 = schedule.initial_barrier
+    idle = schedule.idle_stream
+    if schedule.n_idle and (len(idle) != 1 or idle[0] is not b0):
+        raise ScheduleError("idle PEs do not hold exactly b0")
     seen: dict[NodeId, int] = {}
-    for pe, stream in enumerate(schedule.streams):
-        if not stream or not getattr(stream[0], "is_initial", False):
+    for pe in schedule.active_pes:
+        stream = schedule.streams[pe]
+        if not stream or stream[0] is not b0:
             raise ScheduleError(f"PE {pe} stream does not start with b0")
         for item in stream:
             if hasattr(item, "participants"):  # Barrier
@@ -71,8 +80,11 @@ def check_structure(schedule: Schedule) -> None:
     missing = [n for n in dag.real_nodes if n not in seen]
     if missing:
         raise ScheduleError(f"nodes never scheduled: {missing[:5]}...")
-    # every barrier must appear on each of its participants' streams
-    for barrier in schedule.barriers(include_initial=True):
+    # every barrier must appear on each of its participants' streams; b0
+    # heads every active stream (above) and is the whole idle stream
+    if len(b0.participants) != schedule.n_pes:
+        raise ScheduleError("b0 does not span every PE")
+    for barrier in schedule.barriers():
         for pe in barrier.participants:
             schedule.barrier_position(barrier, pe)  # raises if absent
 

@@ -171,6 +171,7 @@ def result_summary(result: ScheduleResult) -> dict:
     """The per-benchmark record an experiment pipeline would log."""
     fr = fractions_of(result)
     c = result.counts
+    makespan = result.makespan
     return {
         "n_pes": result.config.n_pes,
         "machine": result.config.machine,
@@ -188,6 +189,6 @@ def result_summary(result: ScheduleResult) -> dict:
             "serialized": fr.serialized,
             "static": fr.static,
         },
-        "makespan": [result.makespan.lo, result.makespan.hi],
+        "makespan": [makespan.lo, makespan.hi],
         "processors_used": result.schedule.used_processors(),
     }

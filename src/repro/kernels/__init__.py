@@ -69,10 +69,11 @@ __all__ = [
 VALID_BACKENDS = ("python", "numpy", "auto")
 
 #: ``auto`` engages a kernel when its size measure (barriers in the dag
-#: for the graph kernels, schedule barriers for ``merge``, PEs for
-#: ``assign``) reaches the threshold.  Calibrated so the default 8-PE /
-#: 10-30-statement corpora stay pure python while 1024-PE and
-#: paper-scale runs vectorize.
+#: for the graph kernels, schedule barriers for ``merge``, step-[2]
+#: candidates -- active PEs plus one idle class -- for ``assign``)
+#: reaches the threshold.  Calibrated so the default 8-PE /
+#: 10-30-statement corpora stay pure python while paper-scale runs
+#: vectorize.
 THRESHOLDS: dict[str, int] = {
     "descbits": 128,
     "splice": 128,
@@ -235,8 +236,8 @@ def verify(kernel: str, got: Any, expected: Any) -> None:
         if reg is not None:
             reg.inc("kernels.check.mismatches")
         raise AssertionError(
-            f"kernel cross-check failed for {kernel!r}: numpy backend "
-            f"diverged from the python implementation"
+            f"kernel cross-check failed for {kernel!r}: the fast path "
+            f"diverged from its python reference"
         )
 
 

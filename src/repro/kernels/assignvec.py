@@ -3,11 +3,11 @@
 ``ListPolicy._step2`` estimates, for every processor, the worst-case
 start time of the node being placed: the processor's own completion
 upper bound joined with the finish times of the node's cross-processor
-producers.  The python loop recomputes ``completion_hi`` per processor
-per node -- O(n_pes) dict walks for every placement.  This kernel reads
-the schedule's shared completion vector
-(:meth:`repro.core.schedule.Schedule.completion_hi_all`, kept live
-across appends) and forms the estimates in whole-vector ops:
+producers.  The python path (:func:`repro.core.assignment.step2_classes`)
+scores the active processors plus one class for all idle ones.  This
+kernel forms the dense estimate vector over every processor from
+:meth:`repro.core.schedule.Schedule.completion_hi_all` in whole-vector
+ops:
 
 * ``est = maximum(comp, overall_ready)`` where ``overall_ready`` is the
   max finish over *all* producers;
@@ -15,9 +15,9 @@ across appends) and forms the estimates in whole-vector ops:
   the *other* hosts' producers only (a same-processor producer is
   ordered by the stream itself and contributes no ready constraint).
 
-Producers are few (node in-degree), so the per-host exclusion loop is
-cheap; the win is eliminating the O(n_pes) python scan per node, which
-dominates list scheduling on wide machines (256-1024 PEs).
+It is dispatched on the candidate count (active processors, plus one
+for the idle class), so it engages only when a block really spreads
+over ``THRESHOLDS["assign"]`` or more processors.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def step2_estimates(schedule, node):
     comp = schedule.completion_hi_all()
     preds = schedule.dag.real_preds(node)
     if not preds:
-        est = comp  # ready time is 0 everywhere; shared vector, read-only
+        est = comp  # ready time is 0 everywhere
     else:
         finishes: dict[int, int] = {}
         overall = 0

@@ -114,6 +114,8 @@ def aggregate_results(results: Sequence[ScheduleResult]) -> CorpusStats:
         r.counts.path_edges + r.counts.timing_edges + r.counts.barrier_edges
         for r in results
     )
+    # ``r.makespan`` recomputes the schedule's makespan: read it once.
+    makespans = [r.makespan for r in results]
     return CorpusStats(
         n_benchmarks=n,
         barrier=barrier,
@@ -123,8 +125,8 @@ def aggregate_results(results: Sequence[ScheduleResult]) -> CorpusStats:
         mean_implied_syncs=float(np.mean([r.counts.total_edges for r in results])),
         mean_barriers=float(np.mean([r.counts.barriers_final for r in results])),
         mean_merges=float(np.mean([r.counts.merges for r in results])),
-        mean_makespan_min=float(np.mean([r.makespan.lo for r in results])),
-        mean_makespan_max=float(np.mean([r.makespan.hi for r in results])),
+        mean_makespan_min=float(np.mean([m.lo for m in makespans])),
+        mean_makespan_max=float(np.mean([m.hi for m in makespans])),
         mean_processors_used=float(
             np.mean([r.schedule.used_processors() for r in results])
         ),

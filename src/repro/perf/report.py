@@ -76,7 +76,8 @@ SIMULATED_CASES = 10
 #:     (round-robin assignment, the DBM, optimal insertion).
 #: ``scale1024``
 #:     The 1024-PE stress leg on its own: the workload behind the CI
-#:     numpy-vs-python speed gate and the committed scaling record.
+#:     backend digest gate and machine-width gate
+#:     (:mod:`repro.perf.widthbench`) and the committed scaling record.
 PRESETS: dict[str, tuple[tuple[str, tuple, dict], ...]] = {
     "default": ((PERF_AXIS, PERF_VALUES, {}),),
     "paper3500": (

@@ -154,10 +154,13 @@ class TestDigestParity:
         )
 
     def test_natural_threshold_crossing_matches_python(self, monkeypatch):
-        # 128 PEs crosses the assign threshold without check mode: the
-        # vectorized step-[2] scan must draw identical tie-break choices.
+        # The assign kernel is sized by step-[2] candidates (active PEs
+        # plus the idle class), which stay below the shipped threshold
+        # here; lowered, the threshold is crossed without check mode, and
+        # the vectorized scan must draw identical tie-break choices.
         pytest.importorskip("numpy")
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+        monkeypatch.setitem(kernels.THRESHOLDS, "assign", 4)
         monkeypatch.setenv("REPRO_BACKEND", "python")
         baseline = corpus_digest(n_pes=128, n_statements=40, count=4)
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
