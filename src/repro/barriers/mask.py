@@ -17,9 +17,9 @@ to the paper's description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["BarrierMask", "BarrierTree"]
+__all__ = ["BarrierMask"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +77,8 @@ class BarrierMask:
         return 0 <= pe < self.n_pes and bool(self.bits >> pe & 1)
 
     def __iter__(self) -> Iterator[int]:
-        # Set-bit iteration: O(popcount), not O(n_pes).  At 1024 PEs the
-        # engine iterates masks constantly and most barriers are narrow.
+        # Set-bit iteration: O(popcount), not O(n_pes); most barriers of
+        # a 1024-PE machine are narrow.
         bits = self.bits
         while bits:
             low = bits & -bits
@@ -88,121 +88,14 @@ class BarrierMask:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
+    @property
+    def is_full(self) -> bool:
+        return self.bits == (1 << self.n_pes) - 1
+
+    def participants(self) -> Sequence[int]:
+        """The set PEs in ascending order: ``range(n_pes)`` for a full mask
+        (the machine-start barrier), so no per-PE objects are built."""
+        return range(self.n_pes) if self.is_full else tuple(self)
+
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n_pes}b")[::-1]  # PE0 leftmost
-
-
-class BarrierTree:
-    """Hierarchical (radix-64) barrier arrival aggregation.
-
-    A flat SBM queue controller answers "has every participant of the
-    top barrier arrived?" by comparing an ``n_pes``-bit arrival set
-    against the barrier mask -- an O(n_pes)-bit operation per check
-    that turns quadratic at machine widths like 1024 PEs.  Real
-    wide-barrier hardware aggregates arrivals through a tree of AND
-    gates instead; this class is that tree in software.
-
-    Per registered barrier, the PE bits are sliced into 64-bit words
-    (level 0); each level's *complete* words raise one summary bit on
-    the level above, recursively, until a single word remains.  An
-    ``arrive`` touches O(log64 n_pes) words, and ``ready`` is a single
-    top-word comparison -- O(1) regardless of machine width.
-
-    The tree tracks *per-barrier* arrival sets keyed by barrier id, so
-    a controller can aggregate arrivals for queued barriers while the
-    hardware FIFO order still decides what fires.  ``release`` drops
-    the barrier's state once it has fired.
-    """
-
-    def __init__(self, n_pes: int) -> None:
-        if n_pes < 1:
-            raise ValueError("n_pes must be >= 1")
-        self.n_pes = n_pes
-        levels = 1
-        width = (n_pes + 63) // 64
-        while width > 1:
-            levels += 1
-            width = (width + 63) // 64
-        self._levels = levels
-        #: per level: barrier id -> {word index -> need bits}
-        self._need: list[dict[int, dict[int, int]]] = [
-            {} for _ in range(levels)
-        ]
-        #: per level: barrier id -> {word index -> arrived/summary bits}
-        self._got: list[dict[int, dict[int, int]]] = [{} for _ in range(levels)]
-
-    def __contains__(self, barrier_id: int) -> bool:
-        return barrier_id in self._need[0]
-
-    def register(self, barrier_id: int, mask: BarrierMask) -> None:
-        """Install a barrier's participant mask (idempotent re-register
-        resets its arrivals)."""
-        if mask.n_pes != self.n_pes:
-            raise ValueError(
-                f"mask is {mask.n_pes} PEs wide, tree is {self.n_pes}"
-            )
-        need: dict[int, int] = {}
-        bits = mask.bits
-        word = 0
-        while bits:
-            chunk = bits & 0xFFFFFFFFFFFFFFFF
-            if chunk:
-                need[word] = chunk
-            bits >>= 64
-            word += 1
-        self._need[0][barrier_id] = need
-        self._got[0][barrier_id] = {}
-        for level in range(1, self._levels):
-            up: dict[int, int] = {}
-            for w in self._need[level - 1][barrier_id]:
-                up[w >> 6] = up.get(w >> 6, 0) | (1 << (w & 63))
-            self._need[level][barrier_id] = up
-            self._got[level][barrier_id] = {}
-
-    def arrive(self, barrier_id: int, pe: int) -> None:
-        """Record ``pe``'s arrival; propagate complete-word summary bits
-        up the tree.  O(log64 n_pes)."""
-        need = self._need[0].get(barrier_id)
-        if need is None:
-            raise ValueError(f"barrier {barrier_id} is not registered")
-        w, b = pe >> 6, pe & 63
-        if not (need.get(w, 0) >> b) & 1:
-            raise ValueError(
-                f"PE {pe} does not participate in barrier {barrier_id}"
-            )
-        for level in range(self._levels):
-            got = self._got[level][barrier_id]
-            prev = got.get(w, 0)
-            cur = prev | (1 << b)
-            if cur == prev:
-                return  # duplicate arrival: nothing new to propagate
-            got[w] = cur
-            if cur != self._need[level][barrier_id][w]:
-                return  # word incomplete: no summary bit to raise yet
-            w, b = w >> 6, w & 63
-
-    def ready(self, barrier_id: int) -> bool:
-        """True when every participant has arrived: one top-word compare."""
-        top = self._levels - 1
-        need = self._need[top].get(barrier_id)
-        if need is None:
-            raise ValueError(f"barrier {barrier_id} is not registered")
-        got = self._got[top][barrier_id]
-        return all(got.get(w, 0) == bits for w, bits in need.items())
-
-    def missing(self, barrier_id: int) -> "BarrierMask":
-        """Participants that have not arrived yet, as a mask."""
-        need = self._need[0].get(barrier_id)
-        if need is None:
-            raise ValueError(f"barrier {barrier_id} is not registered")
-        got = self._got[0][barrier_id]
-        bits = 0
-        for w, want in need.items():
-            bits |= (want & ~got.get(w, 0)) << (w * 64)
-        return BarrierMask(bits, self.n_pes)
-
-    def release(self, barrier_id: int) -> None:
-        """Drop the fired barrier's tree state."""
-        for level in range(self._levels):
-            self._need[level].pop(barrier_id, None)
-            self._got[level].pop(barrier_id, None)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from repro.machine.durations import DurationSampler
-from repro.machine.engine import run_machine
+from repro.machine.engine import participant_arrivals, run_machine
 from repro.machine.program import MachineProgram
 from repro.machine.trace import ExecutionTrace
 
@@ -27,7 +27,11 @@ __all__ = ["DBMSimulator", "simulate_dbm"]
 
 @dataclass
 class DBMController:
-    """Associative firing rule: any fully-arrived barrier may execute."""
+    """Associative firing rule: any fully-arrived barrier may execute.
+
+    Readiness is the SBM head's flat participant check
+    (:func:`~repro.machine.engine.participant_arrivals`), applied to
+    every barrier some processor waits on."""
 
     program: MachineProgram
 
@@ -36,9 +40,9 @@ class DBMController:
     ) -> tuple[int, int] | None:
         best: tuple[int, int] | None = None  # (fire_time, barrier_id)
         for barrier_id in set(waiting.values()):
-            mask = self.program.masks[barrier_id]
-            if all(waiting.get(pe) == barrier_id for pe in mask):
-                fire_time = max(arrival[pe] for pe in mask)
+            times = participant_arrivals(self.program, barrier_id, waiting, arrival)
+            if times is not None:
+                fire_time = max(times)
                 if best is None or (fire_time, barrier_id) < best:
                     best = (fire_time, barrier_id)
         if best is None:

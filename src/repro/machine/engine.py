@@ -12,13 +12,24 @@ fire and its fire time, or ``None`` if nothing can fire.  ``None`` with
 no processor still running is a deadlock -- a real hardware hang, which
 for the SBM would mean the compile-time queue order disagreed with the
 run-time arrival order.
+
+Per-PE state exists only for the program's live PEs
+(:attr:`~repro.machine.program.MachineProgram.live_pes`).  The idle PEs,
+whose stream is the start wait alone, are one class: they block on the
+start barrier ``b0`` at clock 0, stay in ``waiting``/``arrival`` at their
+dense-start positions while they do, and retire together at ``b0``'s
+(possibly jittered) fire time.  ``b0`` still fires through the
+controller, so fault jitter draws and observability output are those of
+a PE-by-PE run.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol
+from itertools import repeat
+from operator import eq
+from typing import Iterable, Protocol, Sequence
 
 from repro.machine.durations import DurationSampler, UniformSampler
 from repro.machine.program import BarrierRef, MachineOp, MachineProgram
@@ -27,7 +38,12 @@ from repro.obs.metrics import current_registry
 from repro.obs.spans import current_tracer
 from repro.perf.timers import stage
 
-__all__ = ["BarrierController", "GuardPolicy", "run_machine"]
+__all__ = [
+    "BarrierController",
+    "GuardPolicy",
+    "participant_arrivals",
+    "run_machine",
+]
 
 
 class BarrierController(Protocol):
@@ -42,6 +58,31 @@ class BarrierController(Protocol):
         ``arrival[pe]`` their arrival times; return
         ``(barrier_id, fire_time)`` or ``None``."""
         ...
+
+
+def participant_arrivals(
+    program: MachineProgram,
+    barrier_id: int,
+    waiting: dict[int, int],
+    arrival: dict[int, int],
+) -> Iterable[int] | None:
+    """Arrival times of ``barrier_id``'s participants when every one
+    waits on it, else ``None``: the hardware's subset test.
+
+    A flat check over the program's cached participant sequence, mapped
+    in C with no Python-level call per PE.  A full mask (the start
+    barrier) spans every PE, so it is ready exactly when all ``n_pes``
+    values of ``waiting`` name it, and ``arrival`` then holds one entry
+    per participant.
+    """
+    pes = program.participants(barrier_id)
+    if isinstance(pes, range):
+        if list(waiting.values()).count(barrier_id) != len(pes):
+            return None
+        return arrival.values()
+    if not all(map(eq, map(waiting.get, pes), repeat(barrier_id))):
+        return None
+    return map(arrival.__getitem__, pes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +151,13 @@ def run_machine(
         )
 
 
+def _not_waiting(machine_name: str, barrier_id: int, pe: int) -> DeadlockError:
+    return DeadlockError(
+        f"{machine_name}: barrier b{barrier_id} fired but PE {pe} "
+        f"is not waiting on it"
+    )
+
+
 def _fault_context(sampler, controller) -> str:
     """Active fault-plan summary, when either party knows one."""
     for source in (sampler, controller):
@@ -140,7 +188,15 @@ def _run_machine(
     if guards and policy is None:
         policy = GuardPolicy()
 
-    states = [_PEState() for _ in range(program.n_pes)]
+    n_pes = program.n_pes
+    b0 = program.initial_barrier_id
+    live: Sequence[int] = program.live_pes
+    n_idle = n_pes - len(live)
+    if n_idle and not program.masks[b0].is_full:
+        # The idle class retires with b0, so b0 must span every PE;
+        # otherwise run every PE individually.
+        live, n_idle = range(n_pes), 0
+    states = {pe: _PEState() for pe in live}
     start: dict = {}
     finish: dict = {}
     durations: dict = {}
@@ -151,9 +207,16 @@ def _run_machine(
     # Blocked-PE bookkeeping is maintained incrementally (entries added
     # when ``advance`` blocks a PE, popped at release) so one loop
     # iteration costs O(participants), not O(n_pes) -- the difference
-    # between linear and quadratic simulation at 1024 PEs.
-    waiting: dict[int, int] = {}
-    arrival: dict[int, int] = {}
+    # between linear and quadratic simulation at 1024 PEs.  With idle
+    # PEs both dicts start as the dense start (every PE at b0, clock 0,
+    # in PE order); live PEs then overwrite their entries in place.
+    if n_idle:
+        waiting: dict[int, int] = dict.fromkeys(range(n_pes), b0)
+        arrival: dict[int, int] = dict.fromkeys(range(n_pes), 0)
+    else:
+        waiting, arrival = {}, {}
+    idle_blocked = n_idle > 0
+    idle_clock = 0
     done_count = 0
 
     def resolve_guard(st: _PEState, node) -> None:
@@ -232,7 +295,7 @@ def _run_machine(
         changed = True
         while changed:
             changed = False
-            for pe, st in enumerate(states):
+            for pe, st in states.items():
                 node = st.guarded
                 if node is not None and all(p in finish for p in guards[node]):
                     st.guarded = None
@@ -240,8 +303,10 @@ def _run_machine(
                     changed = progressed = True
         return progressed
 
-    for pe in range(program.n_pes):
+    for pe in live:
         advance(pe)
+        if n_idle and states[pe].waiting is None:
+            del waiting[pe], arrival[pe]  # retired or guard-blocked
     if guards:
         settle_guards()
 
@@ -250,7 +315,7 @@ def _run_machine(
     reg = current_registry()
     tracer = current_tracer()
 
-    while done_count < program.n_pes:
+    while done_count < n_pes:
         choice = controller.select(waiting, arrival)
         if choice is None:
             if guards and settle_guards():
@@ -273,7 +338,7 @@ def _run_machine(
                 )
             stalled = {
                 pe: str(st.guarded)
-                for pe, st in enumerate(states)
+                for pe, st in states.items()
                 if st.guarded is not None
             }
             if stalled:
@@ -283,7 +348,7 @@ def _run_machine(
                 message += f"; under faults: {context}"
             raise DeadlockError(message)
         barrier_id, fire_time = choice
-        if barrier_id != program.initial_barrier_id:
+        if barrier_id != b0:
             fire_time += program.barrier_latency
         barrier_fire[barrier_id] = fire_time
         if reg is not None:
@@ -299,27 +364,48 @@ def _run_machine(
                     "waiting": len(waiting),
                 },
             )
-        mask = program.masks[barrier_id]
-        for pe in mask:
-            st = states[pe]
-            if st.waiting != barrier_id:
-                raise DeadlockError(
-                    f"{machine_name}: barrier b{barrier_id} fired but PE {pe} "
-                    f"is not waiting on it"
-                )
-            # Exact-synchrony release: every participant resumes at fire_time.
-            st.clock = fire_time
-            st.waiting = None
-            waiting.pop(pe, None)
-            arrival.pop(pe, None)
-            advance(pe)
+        if (
+            barrier_id == b0
+            and idle_blocked
+            and all(st.waiting == b0 for st in states.values())
+        ):
+            # Every PE waits on b0, which spans them all: release in bulk.
+            # Live PEs resume in PE order, so sampler draws and re-blocked
+            # waiting entries come in the order a PE-by-PE release produces.
+            idle_blocked = False
+            idle_clock = fire_time
+            done_count += n_idle
+            waiting.clear()
+            arrival.clear()
+            for pe, st in states.items():
+                st.clock = fire_time
+                st.waiting = None
+                advance(pe)
+        else:
+            for pe in program.participants(barrier_id):
+                st = states.get(pe)
+                if st is None:  # idle: leaves b0 only in the bulk release
+                    if barrier_id == b0 and idle_blocked:
+                        continue  # some live PE is not waiting: it raises
+                    raise _not_waiting(machine_name, barrier_id, pe)
+                if st.waiting != barrier_id:
+                    raise _not_waiting(machine_name, barrier_id, pe)
+                # Exact-synchrony release: every participant resumes at fire_time.
+                st.clock = fire_time
+                st.waiting = None
+                waiting.pop(pe, None)
+                arrival.pop(pe, None)
+                advance(pe)
 
+    pe_finish = [idle_clock] * n_pes
+    for pe, st in states.items():
+        pe_finish[pe] = st.clock
     return ExecutionTrace(
         machine=machine_name,
         start=start,
         finish=finish,
         barrier_fire=barrier_fire,
-        pe_finish=tuple(st.clock for st in states),
+        pe_finish=tuple(pe_finish),
         durations=durations,
         overruns=overruns,
         guard_waits=tuple(guard_waits),

@@ -11,12 +11,21 @@ the FIFO queue (any linear extension of ``<_b`` is valid and
 deadlock-free; we use the barrier dag's deterministic topological
 order).  The producer/consumer edge list rides along so an execution
 trace can be verified against the original DAG.
+
+A 1024-PE block keeps about a dozen PEs busy.  Lowering builds streams
+for those PEs only; every other PE gets the one shared
+:func:`idle_stream` tuple (the start wait alone), and
+:attr:`MachineProgram.live_pes` lists the PEs whose stream is anything
+else, so the engine can run the idle PEs as one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cache
+from itertools import compress, repeat
+from operator import is_not
+from typing import Sequence, Union
 
 from repro.barriers.mask import BarrierMask
 from repro.timing import Interval
@@ -24,7 +33,7 @@ from repro.core.schedule import Schedule
 from repro.ir.dag import NodeId
 from repro.ir.tuples import IRTuple
 
-__all__ = ["MachineOp", "BarrierRef", "MachineProgram"]
+__all__ = ["MachineOp", "BarrierRef", "MachineProgram", "idle_stream"]
 
 
 def _queue_order(schedule: Schedule, bd, fire) -> tuple[int, ...]:
@@ -86,6 +95,19 @@ class BarrierRef:
 StreamItem = Union[MachineOp, BarrierRef]
 
 
+def _no_mask(pe: int, barrier_id: int) -> ValueError:
+    return ValueError(f"PE {pe} waits on barrier b{barrier_id}, which has no mask")
+
+
+@cache
+def idle_stream(initial_barrier_id: int) -> tuple[BarrierRef]:
+    """The stream every idle PE shares: the start wait alone.
+
+    One tuple per start-barrier id, so a program recognizes its idle
+    PEs by identity, without an element-wise comparison per PE."""
+    return (BarrierRef(initial_barrier_id),)
+
+
 @dataclass(frozen=True)
 class MachineProgram:
     """Loader image: streams, barrier masks, SBM queue order, DAG edges."""
@@ -108,6 +130,14 @@ class MachineProgram:
     #: programs, so the loader image is unchanged unless the hybrid
     #: scheduler actually demoted something.
     guards: dict[NodeId, tuple[NodeId, ...]] = field(default_factory=dict)
+    #: Ascending PEs whose stream is not the shared :func:`idle_stream`
+    #: object (derived on construction).  A stream that merely equals it,
+    #: as in a hand-built program, counts as live; the engine runs live
+    #: PEs one by one and the rest as one class.
+    live_pes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _participants: dict[int, Sequence[int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if len(self.streams) != self.n_pes:
@@ -116,6 +146,32 @@ class MachineProgram:
             raise ValueError("barrier_order and masks disagree")
         if self.barrier_order and self.barrier_order[0] != self.initial_barrier_id:
             raise ValueError("the initial barrier must head the queue")
+        idle = idle_stream(self.initial_barrier_id)
+        live = tuple(
+            compress(range(self.n_pes), map(is_not, self.streams, repeat(idle)))
+        )
+        object.__setattr__(self, "live_pes", live)
+        masks = self.masks
+        for pe in live:
+            for item in self.streams[pe]:
+                if isinstance(item, BarrierRef) and item.barrier_id not in masks:
+                    raise _no_mask(pe, item.barrier_id)
+        if len(live) < self.n_pes and self.initial_barrier_id not in masks:
+            # The shared idle stream is checked once, on its lowest PE.
+            first_idle = next(
+                (k for k, pe in enumerate(live) if k != pe), len(live)
+            )
+            raise _no_mask(first_idle, self.initial_barrier_id)
+
+    def participants(self, barrier_id: int) -> Sequence[int]:
+        """Ascending PEs of ``barrier_id``'s mask, built once per program
+        (``range(n_pes)`` for the full start barrier)."""
+        pes = self._participants.get(barrier_id)
+        if pes is None:
+            pes = self._participants[barrier_id] = self.masks[
+                barrier_id
+            ].participants()
+        return pes
 
     @staticmethod
     def from_schedule(
@@ -133,32 +189,40 @@ class MachineProgram:
         invariant guarantees every pair falls in one of those cases, and
         the union of both relations is acyclic (each edge means "always
         fires no later than"), so a topological sort of the union yields
-        a queue whose FIFO head never stalls."""
+        a queue whose FIFO head never stalls.
+
+        Only the schedule's active PEs are lowered; every idle PE shares
+        :func:`idle_stream`, and the start barrier's mask is the full one
+        (it spans every PE by construction)."""
+        n_pes = schedule.n_pes
+        dag = schedule.dag
         bd = schedule.barrier_dag()
         fire = bd.fire_times()
         order = _queue_order(schedule, bd, fire)
         masks: dict[int, BarrierMask] = {}
         for barrier in bd.barriers():
-            masks[barrier.id] = BarrierMask.from_pes(
-                barrier.participants, schedule.n_pes
+            masks[barrier.id] = (
+                BarrierMask.full(n_pes)
+                if barrier.is_initial
+                else BarrierMask.from_pes(barrier.participants, n_pes)
             )
-        streams: list[tuple[StreamItem, ...]] = []
-        for pe in range(schedule.n_pes):
+        streams: list[tuple[StreamItem, ...]] = [
+            idle_stream(schedule.initial_barrier.id)
+        ] * n_pes
+        for pe in schedule.active_pes:
             items: list[StreamItem] = []
             for item in schedule.streams[pe]:
                 if hasattr(item, "participants"):  # Barrier
                     items.append(BarrierRef(item.id))
                 else:
-                    payload = schedule.dag.payload(item)
+                    payload = dag.payload(item)
                     mnemonic = (
                         payload.render() if isinstance(payload, IRTuple) else str(item)
                     )
-                    items.append(
-                        MachineOp(item, schedule.dag.latency(item), mnemonic)
-                    )
-            streams.append(tuple(items))
+                    items.append(MachineOp(item, dag.latency(item), mnemonic))
+            streams[pe] = tuple(items)
         return MachineProgram(
-            n_pes=schedule.n_pes,
+            n_pes=n_pes,
             streams=tuple(streams),
             masks=masks,
             barrier_order=order,

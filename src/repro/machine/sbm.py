@@ -23,9 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.barriers.mask import BarrierTree
 from repro.machine.durations import DurationSampler
-from repro.machine.engine import run_machine
+from repro.machine.engine import participant_arrivals, run_machine
 from repro.machine.program import MachineProgram
 from repro.machine.trace import ExecutionTrace
 
@@ -36,23 +35,15 @@ __all__ = ["SBMSimulator", "simulate_sbm"]
 class SBMController:
     """FIFO firing rule: only ``queue[head]`` may execute.
 
-    Arrival checking goes through a :class:`BarrierTree` rather than
-    re-scanning the head's full mask against ``waiting`` on every call:
-    under the FIFO rule a processor found waiting on the head stays
-    waiting until the head fires, so each arrival is recorded in the
-    tree exactly once and later calls only examine the participants
-    still missing.  That keeps wide machines (1024 PEs) linear in
-    arrivals per barrier instead of quadratic in mask width.
+    The head is ready when every participant's WAIT line names it
+    (:func:`~repro.machine.engine.participant_arrivals`, a flat check in
+    C over the head's cached participants).
     """
 
     program: MachineProgram
     head: int = 0
     last_fire: int = 0
     fired: list[int] = field(default_factory=list)
-    _tree: BarrierTree = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._tree = BarrierTree(self.program.n_pes)
 
     def pending(self) -> int | None:
         """The barrier at the queue head (None once the queue drained).
@@ -71,20 +62,10 @@ class SBMController:
         if self.head >= len(self.program.barrier_order):
             return None
         barrier_id = self.program.barrier_order[self.head]
-        mask = self.program.masks[barrier_id]
-        tree = self._tree
-        if barrier_id not in tree:
-            tree.register(barrier_id, mask)
-        if not tree.ready(barrier_id):
-            for pe in tree.missing(barrier_id):
-                if waiting.get(pe) == barrier_id:
-                    tree.arrive(barrier_id, pe)
-            if not tree.ready(barrier_id):
-                return None  # some participant has not arrived at the head
-        fire_time = self.last_fire
-        for pe in mask:
-            fire_time = max(fire_time, arrival[pe])
-        tree.release(barrier_id)
+        times = participant_arrivals(self.program, barrier_id, waiting, arrival)
+        if times is None:
+            return None  # some participant has not arrived at the head
+        fire_time = max(self.last_fire, max(times, default=self.last_fire))
         self.head += 1
         self.last_fire = fire_time
         self.fired.append(barrier_id)

@@ -1,12 +1,11 @@
-"""Hierarchical barrier trees and 1024-PE machine-width scaling.
+"""Barrier masks at 1024-PE machine widths.
 
-:class:`repro.barriers.mask.BarrierTree` is the radix-64 arrival
-aggregator behind the SBM queue controller at large machine widths.
-These tests pin its semantics (registration, arrival propagation,
-readiness, missing-set reconstruction, release) against the flat mask
-model, plus the end-to-end property the tree exists for: 1024-PE
-configurations schedule, simulate soundly, and produce backend-identical
-results digests.
+The machine controllers test a barrier's readiness with a flat check
+over its participants (:meth:`BarrierMask.participants`, cached per
+program).  These tests pin set-bit iteration and the participant
+sequence across 64-bit word boundaries, plus the end-to-end property:
+1024-PE configurations schedule, simulate soundly, and produce
+backend-identical results digests.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import random
 
 import pytest
 
-from repro.barriers.mask import BarrierMask, BarrierTree
+from repro.barriers.mask import BarrierMask
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.machine.program import MachineProgram
@@ -41,106 +40,16 @@ class TestMaskIteration:
         assert list(BarrierMask.empty(1024)) == []
         assert list(BarrierMask.full(70)) == list(range(70))
 
-
-class TestBarrierTree:
-    def test_single_level_small_machine(self):
-        tree = BarrierTree(8)
-        tree.register(1, BarrierMask.from_pes([0, 3, 7], 8))
-        assert 1 in tree
-        assert not tree.ready(1)
-        assert list(tree.missing(1)) == [0, 3, 7]
-        tree.arrive(1, 3)
-        assert not tree.ready(1)
-        assert list(tree.missing(1)) == [0, 7]
-        tree.arrive(1, 0)
-        tree.arrive(1, 7)
-        assert tree.ready(1)
-        assert list(tree.missing(1)) == []
-
-    def test_multi_level_word_boundaries(self):
-        # 130 PEs -> three level-0 words, one summary level.
-        tree = BarrierTree(130)
-        pes = [0, 63, 64, 127, 128, 129]
-        tree.register(5, BarrierMask.from_pes(pes, 130))
-        for pe in pes[:-1]:
-            tree.arrive(5, pe)
-            assert not tree.ready(5)
-        assert list(tree.missing(5)) == [129]
-        tree.arrive(5, 129)
-        assert tree.ready(5)
-
-    def test_full_1024_matches_flat_model(self):
-        rng = random.Random(42)
-        tree = BarrierTree(1024)
-        pes = sorted(rng.sample(range(1024), 300))
-        mask = BarrierMask.from_pes(pes, 1024)
-        tree.register(9, mask)
-        arrived = BarrierMask.empty(1024)
-        for pe in rng.sample(pes, len(pes)):
-            tree.arrive(9, pe)
-            arrived = arrived.with_wait(pe)
-            # The tree's view must agree with the flat subset test at
-            # every step, not just at the end.
-            assert tree.ready(9) == mask.is_subset_of(arrived)
-            assert tree.missing(9).bits == mask.bits & ~arrived.bits
-        assert tree.ready(9)
-
-    def test_duplicate_arrival_is_idempotent(self):
-        tree = BarrierTree(128)
-        tree.register(2, BarrierMask.from_pes([1, 100], 128))
-        tree.arrive(2, 1)
-        tree.arrive(2, 1)
-        assert list(tree.missing(2)) == [100]
-        tree.arrive(2, 100)
-        assert tree.ready(2)
-
-    def test_non_participant_arrival_rejected(self):
-        tree = BarrierTree(1024)
-        tree.register(3, BarrierMask.from_pes([5], 1024))
-        with pytest.raises(ValueError, match="does not participate"):
-            tree.arrive(3, 6)
-        with pytest.raises(ValueError, match="does not participate"):
-            tree.arrive(3, 700)
-
-    def test_unregistered_barrier_rejected(self):
-        tree = BarrierTree(64)
-        with pytest.raises(ValueError, match="not registered"):
-            tree.arrive(99, 0)
-        with pytest.raises(ValueError, match="not registered"):
-            tree.ready(99)
-        with pytest.raises(ValueError, match="not registered"):
-            tree.missing(99)
-
-    def test_release_drops_state(self):
-        tree = BarrierTree(256)
-        tree.register(4, BarrierMask.from_pes([0, 200], 256))
-        tree.arrive(4, 0)
-        tree.release(4)
-        assert 4 not in tree
-        with pytest.raises(ValueError):
-            tree.ready(4)
-        tree.release(4)  # releasing twice is harmless
-
-    def test_reregister_resets_arrivals(self):
-        tree = BarrierTree(128)
-        mask = BarrierMask.from_pes([0, 70], 128)
-        tree.register(7, mask)
-        tree.arrive(7, 0)
-        tree.arrive(7, 70)
-        assert tree.ready(7)
-        tree.register(7, mask)
-        assert not tree.ready(7)
-
-    def test_empty_mask_is_vacuously_ready(self):
-        tree = BarrierTree(1024)
-        tree.register(8, BarrierMask.empty(1024))
-        assert tree.ready(8)
-        assert list(tree.missing(8)) == []
-
-    def test_mask_width_mismatch_rejected(self):
-        tree = BarrierTree(128)
-        with pytest.raises(ValueError, match="wide"):
-            tree.register(1, BarrierMask.from_pes([0], 64))
+    @pytest.mark.parametrize("n_pes", [1, 64, 130, 1024])
+    def test_participants_match_iteration(self, n_pes):
+        rng = random.Random(n_pes)
+        full = BarrierMask.full(n_pes)
+        assert full.is_full
+        assert full.participants() == range(n_pes)
+        for _ in range(10):
+            mask = BarrierMask(rng.getrandbits(n_pes), n_pes)
+            assert tuple(mask.participants()) == tuple(mask)
+            assert mask.is_full == (len(mask) == n_pes)
 
 
 class TestScale1024:
