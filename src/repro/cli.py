@@ -498,15 +498,6 @@ def _add_perf_args(p: argparse.ArgumentParser) -> None:
         help="scheduling-kernel backend (default: the REPRO_BACKEND "
         "environment variable, else auto)",
     )
-    p.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="cases per batched-pipeline chunk on the serial path "
-        "(1 disables batching; default: the REPRO_BATCH environment "
-        "variable, else 100)",
-    )
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
@@ -987,8 +978,8 @@ def _cmd_archive(args) -> int:
 
 @contextmanager
 def _perf_env(args, cache: bool | None = None):
-    """Scope the REPRO_JOBS / REPRO_BACKEND / REPRO_BATCH / REPRO_CACHE
-    knobs to one command.
+    """Scope the REPRO_JOBS / REPRO_BACKEND / REPRO_CACHE knobs to one
+    command.
 
     The experiment functions reach run_point/sweep several layers down;
     the jobs/cache choices travel via the environment variables those
@@ -1001,8 +992,6 @@ def _perf_env(args, cache: bool | None = None):
         overrides["REPRO_JOBS"] = str(args.jobs)
     if getattr(args, "backend", None) is not None:
         overrides["REPRO_BACKEND"] = args.backend
-    if getattr(args, "batch_size", None) is not None:
-        overrides["REPRO_BATCH"] = str(args.batch_size)
     if cache is not None:
         overrides["REPRO_CACHE"] = "1" if cache else "0"
     saved = {key: os.environ.get(key) for key in overrides}

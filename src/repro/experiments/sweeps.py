@@ -26,27 +26,28 @@ Two performance controls ride on every entry point (see
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.core import batchrun
-from repro.core.scheduler import ScheduleResult, SchedulerConfig, schedule_dag
+from repro.core.scheduler import ScheduleResult, SchedulerConfig
 from repro.ir.ops import DEFAULT_TIMING, TimingModel
 from repro.metrics.stats import CorpusStats, aggregate_results
 from repro.obs import progress as obs_progress
 from repro.perf.cache import load_point_stats, resolve_cache, store_point_stats
-from repro.perf.gctune import batched_gc
-from repro.perf.parallel import resolve_batch, resolve_jobs, run_cases_parallel
-from repro.perf.shm import run_cases_shm
-from repro.perf.timers import add_to_current, collect_timings, stage
-from repro.synth import genvec
-from repro.synth.corpus import BenchmarkCase, generate_cases
+from repro.perf.parallel import chunk_runner, resolve_jobs
+from repro.perf.timers import add_to_current, collect_timings
+from repro.synth.corpus import BenchmarkCase
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["ExperimentPoint", "run_corpus", "run_point", "sweep"]
 
 #: Corpus size per parameter point; the paper uses 100.
 DEFAULT_COUNT = 100
+
+#: Attempts per requested case before a corpus filter counts as
+#: exhausted (the budget of :func:`repro.synth.corpus.generate_cases`).
+MAX_ATTEMPTS_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -67,130 +68,59 @@ def run_corpus(
     point: ExperimentPoint,
     accept: Callable[[BenchmarkCase], bool] | None = None,
     jobs: int | None = None,
-    batch: int | None = None,
     compact: bool = False,
 ) -> list[ScheduleResult]:
     """Compile and schedule every benchmark of a point; return the results.
 
     Each case is scheduled with the point's scheduler config, seeded per
     case so random tie-breaking is reproducible yet varies across the
-    corpus.  With ``jobs > 1`` the corpus is dispatched to a process
-    pool; the result list is bit-identical to the serial run.
+    corpus.  The attempt seeds are drawn once, in order, and run in
+    chunks through :func:`repro.perf.parallel.run_chunk` (vectorized
+    generation, positional ``accept`` filter, batched scheduling):
+    in-process with ``jobs == 1``, on a fork pool with ``jobs > 1``.
+    Every path returns the same result sequence.  A filter that accepts
+    fewer than ``count`` cases in ``50 * count`` attempts raises
+    ``RuntimeError``, as :func:`repro.synth.corpus.generate_cases` does.
 
-    The serial path runs the corpus in *batches* (``None`` consults
-    ``REPRO_BATCH``; ``1`` disables): each chunk of attempt seeds is
-    compiled by the vectorized generator and scheduled by the batched
-    driver (:mod:`repro.core.batchrun`) in one pass, bit-identical to
-    the case-at-a-time loop.  Filtered corpora apply ``accept``
-    positionally per chunk, exactly like the process pool: the accepted
-    prefix matches serial, only unused trailing attempts may differ.
-
-    ``compact=True`` allows the zero-copy shared-memory driver
-    (:mod:`repro.perf.shm`) for unfiltered parallel points: results
-    come back as :class:`~repro.perf.parallel.CompactResult` rows that
-    support aggregation and digests but carry no ``Schedule`` graph.
-    Callers that read ``result.schedule`` or ``result.resolutions``
-    must leave it off.
+    ``compact=True`` lets pool workers return
+    :class:`~repro.perf.parallel.CompactResult` rows, which support
+    aggregation and digests but carry no ``Schedule`` graph.  Callers
+    that read ``result.schedule`` or ``result.resolutions`` must leave
+    it off.
     """
-    jobs = resolve_jobs(jobs)
-    if jobs > 1:
-        if compact and accept is None:
-            zero_copy = run_cases_shm(
-                point.generator,
-                point.count,
-                point.master_seed,
-                point.timing,
-                point.scheduler,
-                jobs,
-            )
-            if zero_copy is not None:
-                return zero_copy
-        parallel = run_cases_parallel(
-            point.generator,
-            point.count,
-            point.master_seed,
-            point.timing,
-            point.scheduler,
-            accept,
-            jobs,
-        )
-        if parallel is not None:
-            return parallel
-
-    batch = resolve_batch(batch)
-    if batch > 1:
-        return _run_corpus_batched(point, accept, batch)
-
-    results: list[ScheduleResult] = []
-    cases = generate_cases(
-        point.generator,
-        point.count,
-        point.master_seed,
-        timing=point.timing,
-        accept=accept,
-    )
-    with batched_gc():
-        while True:
-            with stage("generate"):  # pulls generation + compilation work
-                case = next(cases, None)
-            if case is None:
-                break
-            cfg = point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-            with stage("schedule"):
-                results.append(schedule_dag(case.dag, cfg))
-            obs_progress.advance()
-    return results
-
-
-def _run_corpus_batched(
-    point: ExperimentPoint,
-    accept: Callable[[BenchmarkCase], bool] | None,
-    batch: int,
-    max_attempts_factor: int = 50,
-) -> list[ScheduleResult]:
-    """The serial corpus loop, ``batch`` attempt seeds at a time.
-
-    Draws the exact attempt-seed sequence of
-    :func:`repro.synth.corpus.generate_cases` in chunks, compiles each
-    chunk through :func:`repro.synth.genvec.compile_cases` and schedules
-    it through :func:`repro.core.batchrun.schedule_cases` -- both of
-    which fall back to the per-case code paths below their kernel
-    thresholds, so the results are bit-identical either way.
-    """
-    results: list[ScheduleResult] = []
-    produced = 0
-    attempts = 0
-    limit = max(1, point.count) * max_attempts_factor
+    count = point.count
+    limit = max(1, count) * MAX_ATTEMPTS_FACTOR
     seed_stream = random.Random(point.master_seed)
-    with batched_gc():
-        while produced < point.count:
-            if attempts >= limit:
+    results: list[ScheduleResult] = []
+    pending: deque = deque()  # (seeds drawn, wait) per chunk, in order
+    attempts = in_flight = 0
+    with chunk_runner(point, accept, resolve_jobs(jobs), compact) as (
+        submit,
+        chunk,
+        window,
+    ):
+        while len(results) < count:
+            # Never more seeds in flight than cases still needed.
+            while len(pending) < window:
+                take = min(
+                    chunk, count - len(results) - in_flight, limit - attempts
+                )
+                if take <= 0:
+                    break
+                seeds = [seed_stream.getrandbits(48) for _ in range(take)]
+                attempts += take
+                in_flight += take
+                pending.append((take, submit(seeds)))
+            if not pending:
                 raise RuntimeError(
-                    f"corpus filter accepted only {produced}/{point.count} "
+                    f"corpus filter accepted only {len(results)}/{count} "
                     f"cases after {attempts} attempts"
                 )
-            chunk = min(batch, limit - attempts)
-            seeds = [seed_stream.getrandbits(48) for _ in range(chunk)]
-            attempts += chunk
-            with stage("generate"):
-                cases = genvec.compile_cases(
-                    point.generator, seeds, point.timing
-                )
-                if accept is not None:
-                    cases = [case for case in cases if accept(case)]
-            cases = cases[: point.count - produced]
-            produced += len(cases)
-            configs = [
-                point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-                for case in cases
-            ]
-            with stage("schedule"):
-                results.extend(
-                    batchrun.schedule_cases(
-                        [case.dag for case in cases], configs
-                    )
-                )
-            obs_progress.advance(len(cases))
+            take, wait = pending.popleft()
+            in_flight -= take
+            accepted = wait()
+            results.extend(accepted)
+            obs_progress.advance(len(accepted))
     return results
 
 
@@ -213,8 +143,8 @@ def run_point(
         if cached is not None:
             return cached
     with collect_timings() as timings:
-        # Aggregation reads nothing a compact result lacks, so the
-        # zero-copy driver may serve parallel unfiltered points.
+        # Aggregation reads nothing a compact result lacks, so pool
+        # workers may ship compact rows.
         stats = aggregate_results(
             run_corpus(point, accept, jobs=jobs, compact=True)
         )

@@ -27,8 +27,8 @@ Three batched kernels:
   (``mergemat.first_candidate``) for many schedules.
 
 Plus the padded-tensor boundary helpers :func:`pack_bitmats` /
-:func:`unpack_bitmats` shared by the kernels and the shared-memory
-corpus arena.
+:func:`unpack_bitmats` that the kernels use to move between per-case
+python-int rows and the tensors.
 """
 
 from __future__ import annotations

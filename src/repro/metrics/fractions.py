@@ -68,7 +68,7 @@ def fractions_of(result: "ScheduleResult | SyncCounts") -> SyncFractions:
     """Compute the section 3.1 fractions for one schedule.
 
     Accepts anything carrying a ``counts`` attribute (a full
-    :class:`ScheduleResult` or the zero-copy driver's
+    :class:`ScheduleResult` or a compact corpus run's
     :class:`~repro.perf.parallel.CompactResult`) or bare counts.
     """
     counts = getattr(result, "counts", result)

@@ -12,7 +12,7 @@ zero-cost when no subscriber is installed (and all hard-disabled by
   across the parallel driver's worker processes;
 * :mod:`repro.obs.prof` -- continuous profiling and resource
   accounting: per-kernel wall/CPU timings at the dispatch boundary,
-  peak-RSS/arena/tensor byte accounts, GC pauses, and folded-stack
+  peak-RSS and tensor byte accounts, GC pauses, and folded-stack
   (flamegraph) export from a span trace;
 * :mod:`repro.obs.progress` -- live heartbeat stream (cases/s, ETA)
   for long corpus runs, rendered as a TTY status line or JSONL;

@@ -10,8 +10,8 @@ memory*.  A :class:`Profiler` accumulates four resource families:
   the compiled-extension roadmap item has data to pick targets;
 * **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``),
   per-stage RSS growth sampled by :func:`repro.perf.timers.stage`, and
-  explicit byte accounts for the big allocations (shm arena blocks,
-  padded batch tensors, the vectorized generator's drawn arrays);
+  explicit byte accounts for the big allocations (padded batch
+  tensors, the vectorized generator's drawn arrays);
 * **GC pauses** -- count, total pause time, and objects collected,
   captured by :func:`track_gc` via ``gc.callbacks`` inside
   :func:`repro.perf.gctune.batched_gc`;
@@ -130,9 +130,9 @@ class Profiler:
         #: that stage's blocks.  ``ru_maxrss`` is a high-water mark, so
         #: a stage is only charged when it pushed the peak higher.
         self.stage_rss: dict[str, int] = {}
-        #: Named byte accounts (``shm.arena``, ``batch.tensors``,
-        #: ``genvec.drawn``) -- explicit footprints of the allocations
-        #: RSS deltas attribute poorly.
+        #: Named byte accounts (``batch.tensors``, ``genvec.drawn``) --
+        #: explicit footprints of the allocations RSS deltas attribute
+        #: poorly.
         self.bytes: dict[str, int] = {}
         #: Max peak RSS observed across this extent and merged workers.
         self.peak_rss: int = 0
@@ -293,8 +293,8 @@ def collect_profile() -> Iterator[Profiler]:
 def add_to_current(data: "Profiler | Mapping") -> None:
     """Fold a shipped profile into the active one, if any.
 
-    The parallel corpus drivers call this in the parent with each worker
-    chunk's profile dict, exactly like ``metrics.add_to_current``.
+    The corpus driver calls this in the parent with each worker chunk's
+    profile dict, exactly like ``metrics.add_to_current``.
     """
     prof = current_profiler()
     if prof is not None:

@@ -13,12 +13,12 @@ Two sinks ship with the CLI's ``perf --live`` flag:
 
 The lifecycle mirrors the other observability collectors: a subscriber
 installs a meter with :func:`collect_progress` for a dynamic extent;
-the corpus drivers call the module-level :func:`advance` /
+the corpus driver calls the module-level :func:`advance` /
 :func:`set_total` helpers, which are no-ops without a subscriber (and
 always under ``REPRO_OBS_DISABLE=1``); heartbeats are throttled to one
 per :data:`HEARTBEAT_INTERVAL_S` so tight serial loops do not spend
 their time formatting status lines.  Progress is observation only --
-the drivers advance the meter strictly *after* a case's results are
+the driver advances the meter strictly *after* a case's results are
 recorded, so results are bit-identical with or without a meter.
 """
 

@@ -6,9 +6,9 @@ makes that affordable at full scale:
 * :mod:`repro.perf.timers` -- per-stage wall-clock accumulators
   (generate / schedule / insert / merge / simulate) that the pipeline
   reports through :class:`~repro.metrics.stats.CorpusStats`;
-* :mod:`repro.perf.parallel` -- a process-pool execution mode for
-  :func:`~repro.experiments.sweeps.run_corpus` whose output is
-  bit-identical to the serial run (``--jobs`` / ``REPRO_JOBS``);
+* :mod:`repro.perf.parallel` -- the corpus chunk runner behind
+  :func:`~repro.experiments.sweeps.run_corpus`, in-process or on a fork
+  pool, bit-identical either way (``--jobs`` / ``REPRO_JOBS``);
 * :mod:`repro.perf.cache` -- an on-disk content-addressed cache of
   corpus statistics keyed by the experiment point and package version;
 * :mod:`repro.perf.report` -- the ``repro-sbm perf`` harness emitting
@@ -30,7 +30,7 @@ _EXPORTS = {
     "fork_available": "repro.perf.parallel",
     "resolve_jobs": "repro.perf.parallel",
     "results_digest": "repro.perf.parallel",
-    "run_cases_parallel": "repro.perf.parallel",
+    "run_chunk": "repro.perf.parallel",
     "cache_dir": "repro.perf.cache",
     "resolve_cache": "repro.perf.cache",
     "point_cache_key": "repro.perf.cache",

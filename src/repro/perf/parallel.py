@@ -1,29 +1,29 @@
-"""Process-pool execution of corpus points, bit-identical to serial.
+"""The corpus driver's unit of work, run in-process or in fork workers.
 
 The paper's evaluation schedules 100 benchmarks per parameter point and
-3500+ overall; every case is independent, so the corpus driver fans the
-work out over a pool of worker processes.  Three properties are load
-bearing:
+3500+ overall; every case is independent.  :func:`run_chunk` is the one
+unit of corpus work: compile a chunk of attempt seeds through the
+vectorized generator, apply the ``accept`` filter, and schedule the kept
+cases through the batched driver.
+:func:`repro.experiments.sweeps.run_corpus` feeds it chunks through
+:func:`chunk_runner`, which runs them in-process or on a fork pool.
+Three properties are load bearing:
 
-**Determinism.**  The serial driver draws one 48-bit case seed per
-*attempt* from ``random.Random(master_seed)`` and derives the scheduler
-seed as ``case_seed & 0xFFFFFFFF`` (see
-:func:`repro.synth.corpus.generate_cases`).  The parallel driver draws
-the exact same attempt-seed sequence in the parent, ships seeds to the
-workers in chunks, and consumes worker results in submission order --
-applying the ``accept`` filter verdicts positionally, exactly as the
-serial loop would.  The accepted prefix is therefore identical to the
-serial output; only *unused* trailing attempts (work the serial loop
-would never have started) may differ.  The determinism regression test
-pins this with :func:`results_digest`.
+**Determinism.**  The driver draws one 48-bit case seed per *attempt*
+from ``random.Random(master_seed)``, the stream
+:func:`repro.synth.corpus.generate_cases` draws, and derives the
+scheduler seed as ``case_seed & 0xFFFFFFFF``.  Chunks are consumed in
+submission order and the filter keeps cases by position within each
+chunk, so the accepted sequence is the serial one whatever the chunk
+size or worker count.  :func:`results_digest` pins this.
 
 **Graceful fallback.**  ``jobs=1``, a platform without ``fork``, or an
-unpicklable payload (e.g. a closure ``accept`` filter) silently falls
-back to the serial path; callers never have to care.
+unpicklable payload (e.g. a closure ``accept`` filter) runs the chunks
+in-process; callers never have to care.
 
-**Bounded dispatch.**  Seeds are sent in chunks (amortizing IPC) with a
-bounded number of chunks in flight, so a filtered corpus does not race
-arbitrarily far past the acceptance target.
+**Bounded dispatch.**  The driver never has more seeds in flight than
+cases it still needs, so an unfiltered corpus draws exactly ``count``
+seeds and no worker runs a case the result will not use.
 """
 
 from __future__ import annotations
@@ -33,54 +33,45 @@ import json
 import multiprocessing
 import os
 import pickle
-import random
-from collections import deque
-from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
-
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from repro import kernels
-from repro.core.scheduler import (
-    ScheduleResult,
-    SchedulerConfig,
-    SyncCounts,
-    schedule_dag,
-)
+from repro.core import batchrun
+from repro.core.scheduler import ScheduleResult, SchedulerConfig, SyncCounts
 from repro.io import result_summary
-from repro.ir.ops import TimingModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import prof as obs_prof
-from repro.obs import progress as obs_progress
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
 from repro.perf.timers import add_to_current, collect_timings, stage
-from repro.synth.corpus import BenchmarkCase, compile_case
-from repro.synth.generator import GeneratorConfig
+from repro.synth import genvec
+from repro.synth.corpus import BenchmarkCase
 from repro.timing import Interval
+
+if TYPE_CHECKING:
+    from repro.experiments.sweeps import ExperimentPoint
 
 __all__ = [
     "CompactResult",
+    "chunk_runner",
     "digest_record",
     "fork_available",
-    "resolve_batch",
     "resolve_jobs",
     "results_digest",
-    "run_cases_parallel",
+    "run_chunk",
 ]
 
-#: Attempt seeds per worker task; amortizes IPC without hurting balance.
-CHUNK_SIZE = 8
-
-#: Chunks in flight per worker; bounds wasted work past the accept target.
-CHUNKS_IN_FLIGHT = 2
-
-#: Cases per batched-pipeline chunk (vectorized generation + batched
-#: scheduling kernels).  One paper-sized corpus (count=100) per chunk:
-#: the vectorized draw's fixed setup amortizes poorly below ~64 seeds,
-#: and the padded corpus tensors are still only a few MB at this size.
+#: Seeds per chunk at most: one paper-sized point.  The vectorized draw
+#: amortizes its setup poorly below ~64 seeds, and the padded batch
+#: tensors of a chunk stay a few MB at this size.
 DEFAULT_BATCH = 100
+
+#: Chunks in flight per worker: a pool run splits a point into this
+#: many chunks per worker, so a worker that finishes early takes the
+#: next chunk while the parent consumes results in order.
+CHUNKS_IN_FLIGHT = 2
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -105,26 +96,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def resolve_batch(batch: int | None = None) -> int:
-    """Resolve the corpus batch size (cases per batched chunk).
-
-    ``None`` consults the ``REPRO_BATCH`` environment variable (absent
-    or empty means :data:`DEFAULT_BATCH`).  ``1`` -- from either source
-    -- disables batching; anything else must be a positive integer.
-    """
-    if batch is None:
-        text = os.environ.get("REPRO_BATCH", "").strip()
-        if not text:
-            return DEFAULT_BATCH
-        try:
-            batch = int(text)
-        except ValueError:
-            raise ValueError(f"REPRO_BATCH must be an integer, got {text!r}")
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
-    return batch
-
-
 def fork_available() -> bool:
     """True when the ``fork`` start method exists (POSIX).  The pool uses
     fork so worker processes inherit already-imported modules; spawn-only
@@ -135,170 +106,133 @@ def fork_available() -> bool:
         return False
 
 
-def _run_chunk(
-    payload: tuple[
-        GeneratorConfig,
-        TimingModel,
-        SchedulerConfig,
-        Callable[[BenchmarkCase], bool] | None,
-        tuple[int, ...],
-        bool,
-        bool,
-        str,
-    ],
-) -> tuple[
-    list[ScheduleResult | None],
-    dict[str, float],
-    dict,
-    dict | None,
-    dict | None,
-]:
-    """Worker: compile/filter/schedule one chunk of attempt seeds.
+def run_chunk(
+    point: "ExperimentPoint",
+    seeds: Sequence[int],
+    accept: Callable[[BenchmarkCase], bool] | None,
+    compact: bool,
+) -> "list[ScheduleResult | CompactResult]":
+    """Compile, filter and schedule one chunk of attempt seeds.
 
-    Returns one entry per attempt -- ``None`` for rejected attempts, a
-    :class:`ScheduleResult` otherwise -- plus the worker's stage timings,
-    its obs metrics, its resource profile (when the parent is
-    profiling), and (when the parent asked for tracing) its span tracer
-    state for :meth:`~repro.obs.spans.SpanTracer.adopt`.
+    Returns the results of the cases ``accept`` keeps, in seed order.
+    With ``compact`` they are :class:`CompactResult` rows, built while
+    the full results are still at hand.
     """
-    generator, timing, scheduler, accept, seeds, trace, profile, backend = (
-        payload
-    )
-    # Pin the kernel backend explicitly rather than trusting fork-time
-    # env inheritance: the parent may scope REPRO_BACKEND per command
-    # (``repro-sbm perf --backend``) while the pool outlives that scope.
-    os.environ["REPRO_BACKEND"] = backend
-    out: list[ScheduleResult | None] = []
-    # A fresh per-chunk tracer: fork copies the parent's contextvars, so
-    # without this the spans would pile up in a dead copy of the parent's
-    # tracer instead of being shipped back.  Same story for the metrics
-    # registry and the profiler -- and the profiler must be installed
-    # before ``batched_gc`` so its GC hook finds it.
+    with batched_gc():
+        with stage("generate"):
+            cases = genvec.compile_cases(point.generator, seeds, point.timing)
+            if accept is not None:
+                cases = [case for case in cases if accept(case)]
+        configs = [
+            point.scheduler.with_(seed=case.seed & 0xFFFFFFFF) for case in cases
+        ]
+        with stage("schedule"):
+            results = batchrun.schedule_cases(
+                [case.dag for case in cases], configs
+            )
+            if compact:
+                results = [CompactResult.of(result) for result in results]
+    return results
+
+
+def _run_worker(point, seeds, accept, compact, trace: bool, profile: bool):
+    """Fork-pool entry point: :func:`run_chunk` under fresh collectors.
+
+    Returns the chunk's results plus what the parent merges into its
+    own collectors: stage timings, obs metrics and, when the parent
+    collects them, the resource profile and the span tracer state.
+    """
+    # Fork copied the parent's contextvars, so without fresh collectors
+    # the worker would record into dead copies of the parent's.  The
+    # profiler is installed before run_chunk's batched_gc so that its
+    # GC hook finds it.
     tracing = collect_trace() if trace else nullcontext(None)
     profiling = obs_prof.collect_profile() if profile else nullcontext(None)
     with tracing as tracer, obs_metrics.collect_metrics() as metrics, (
         profiling
-    ) as prof, batched_gc():
-        with collect_timings() as timings:
-            for seed in seeds:
-                with stage("generate"):
-                    case = compile_case(generator, seed, timing)
-                if accept is not None and not accept(case):
-                    out.append(None)
-                    continue
-                config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-                with stage("schedule"):
-                    out.append(schedule_dag(case.dag, config))
-    trace_state = tracer.export_state() if tracer is not None else None
-    return (
-        out,
+    ) as prof, collect_timings() as timings:
+        results = run_chunk(point, seeds, accept, compact)
+    return results, (
         timings.as_dict(),
         metrics.as_dict(),
         prof.as_dict() if prof is not None else None,
-        trace_state,
+        tracer.export_state() if tracer is not None else None,
     )
 
 
-def run_cases_parallel(
-    generator: GeneratorConfig,
-    count: int,
-    master_seed: int,
-    timing: TimingModel,
-    scheduler: SchedulerConfig,
+def _absorb(shipped) -> None:
+    """Merge one worker's collectors into the parent's."""
+    timings, metrics, profile, trace_state = shipped
+    add_to_current(timings)
+    obs_metrics.add_to_current(metrics)
+    if profile is not None:
+        obs_prof.add_to_current(profile)
+    tracer = current_tracer()
+    if trace_state is not None and tracer is not None:
+        tracer.adopt(trace_state)
+
+
+def _poolable(
+    point: "ExperimentPoint",
     accept: Callable[[BenchmarkCase], bool] | None,
     jobs: int,
-    max_attempts_factor: int = 50,
-) -> list[ScheduleResult] | None:
-    """Schedule a corpus point on a process pool; ``None`` means "cannot
-    parallelize, use the serial path" (no fork, or unpicklable payload).
-
-    The result list is bit-identical to the serial driver's (see the
-    module docstring for why).  Raises the same ``RuntimeError`` as
-    :func:`repro.synth.corpus.generate_cases` when the ``accept`` filter
-    exhausts its attempt budget.
-    """
-    if jobs <= 1 or count <= 0 or not fork_available():
-        return None
+) -> bool:
+    if jobs <= 1 or point.count <= 0 or not fork_available():
+        return False
     try:  # closures / bound methods as ``accept`` cannot cross processes
-        pickle.dumps((generator, timing, scheduler, accept))
+        pickle.dumps((point, accept))
     except Exception:
-        return None
+        return False
+    return True
 
-    backend = kernels.backend_setting()  # validates REPRO_BACKEND early
-    seed_stream = random.Random(master_seed)
-    limit = max(1, count) * max_attempts_factor
-    attempts = 0
 
-    def next_chunk() -> tuple[int, ...]:
-        nonlocal attempts
-        take = min(CHUNK_SIZE, limit - attempts)
-        attempts += take
-        return tuple(seed_stream.getrandbits(48) for _ in range(take))
+@contextmanager
+def chunk_runner(
+    point: "ExperimentPoint",
+    accept: Callable[[BenchmarkCase], bool] | None,
+    jobs: int,
+    compact: bool,
+) -> Iterator[tuple[Callable, int, int]]:
+    """Where the chunks of one corpus run execute.
 
-    results: list[ScheduleResult] = []
-    trace = current_tracer() is not None
-    profile = obs_prof.current_profiler() is not None
+    Yields ``(submit, chunk, window)``: ``submit(seeds)`` starts one
+    chunk and returns a callable that waits for its results, ``chunk``
+    bounds the seeds of one chunk and ``window`` the chunks in flight.
+
+    With ``jobs > 1`` a fork pool runs chunks of
+    ``ceil(count / (jobs * CHUNKS_IN_FLIGHT))`` seeds, at most
+    :data:`DEFAULT_BATCH`, compacted when ``compact`` allows.  With one
+    job, without ``fork``, or when the point or ``accept`` does not
+    pickle, chunks of :data:`DEFAULT_BATCH` run in-process as they are
+    submitted, one at a time and never compacted.
+    """
+    if not _poolable(point, accept, jobs):
+
+        def run_here(seeds):
+            results = run_chunk(point, seeds, accept, False)
+            return lambda: results
+
+        yield run_here, DEFAULT_BATCH, 1
+        return
+    window = jobs * CHUNKS_IN_FLIGHT
+    chunk = min(DEFAULT_BATCH, -(-point.count // window))
+    ship = (current_tracer() is not None, obs_prof.current_profiler() is not None)
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        pending = deque()
 
-        def submit(seeds: tuple[int, ...]) -> None:
-            pending.append(
-                pool.submit(
-                    _run_chunk,
-                    (
-                        generator,
-                        timing,
-                        scheduler,
-                        accept,
-                        seeds,
-                        trace,
-                        profile,
-                        backend,
-                    ),
-                )
+        def submit(seeds):
+            future = pool.submit(
+                _run_worker, point, seeds, accept, compact, *ship
             )
 
-        for _ in range(jobs * CHUNKS_IN_FLIGHT):
-            seeds = next_chunk()
-            if not seeds:
-                break
-            submit(seeds)
-        while len(results) < count:
-            if not pending:
-                raise RuntimeError(
-                    f"corpus filter accepted only {len(results)}/{count} cases "
-                    f"after {attempts} attempts"
-                )
-            (
-                chunk_results,
-                worker_timings,
-                worker_metrics,
-                worker_profile,
-                trace_state,
-            ) = pending.popleft().result()
-            add_to_current(worker_timings)
-            obs_metrics.add_to_current(worker_metrics)
-            if worker_profile is not None:
-                obs_prof.add_to_current(worker_profile)
-            if trace_state is not None:
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.adopt(trace_state)
-            accepted_before = len(results)
-            for item in chunk_results:
-                if item is not None:
-                    results.append(item)
-                    if len(results) == count:
-                        break
-            obs_progress.advance(len(results) - accepted_before)
-            if len(results) < count:
-                seeds = next_chunk()
-                if seeds:
-                    submit(seeds)
-        for fut in pending:  # drop overdrawn attempts, matching serial stop
-            fut.cancel()
-    return results
+            def wait():
+                results, shipped = future.result()
+                _absorb(shipped)
+                return results
+
+            return wait
+
+        yield submit, chunk, window
 
 
 class _CompactSchedule:
@@ -317,11 +251,10 @@ class _CompactSchedule:
 class CompactResult:
     """A :class:`ScheduleResult` reduced to what reductions read.
 
-    The zero-copy driver (:mod:`repro.perf.shm`) ships these back from
-    its workers instead of pickling whole ``Schedule`` object graphs:
-    the counts, makespan, processor usage, and the precomputed
-    :func:`digest_record` -- everything
-    :func:`repro.metrics.stats.aggregate_results` and
+    Pool workers of a ``compact`` corpus run ship these back instead of
+    pickling whole ``Schedule`` object graphs: the counts, makespan,
+    processor usage, and the precomputed :func:`digest_record` --
+    everything :func:`repro.metrics.stats.aggregate_results` and
     :func:`results_digest` consume, nothing else.
     """
 
@@ -330,6 +263,16 @@ class CompactResult:
     makespan: Interval
     processors_used: int
     record: dict
+
+    @classmethod
+    def of(cls, result: ScheduleResult) -> "CompactResult":
+        return cls(
+            result.config,
+            result.counts,
+            result.makespan,
+            result.schedule.used_processors(),
+            digest_record(result),
+        )
 
     @property
     def schedule(self) -> _CompactSchedule:
@@ -340,8 +283,8 @@ def digest_record(result: "ScheduleResult | CompactResult") -> dict:
     """The record :func:`results_digest` hashes for one result.
 
     Compact results carry theirs precomputed (by this same function, in
-    the worker that still held the full result), so serial and
-    zero-copy digests agree byte for byte.
+    the worker that still held the full result), so full and compact
+    digests agree byte for byte.
     """
     if isinstance(result, CompactResult):
         return result.record

@@ -298,8 +298,8 @@ class DrawnCorpus:
 
     ``operand_kind`` is 1 where an operand position drew a constant (its
     index then points into ``constants``), 0 for a variable index.  The
-    arrays are exactly what the fused front end and the shared-memory
-    corpus arena consume; no RNG state survives into them.
+    lists are exactly what the fused front end consumes; no RNG state
+    survives into them.
     """
 
     __slots__ = ("seeds", "constants", "targets", "ops", "operand_kind", "operand_idx")
@@ -314,29 +314,6 @@ class DrawnCorpus:
 
     def __len__(self) -> int:
         return len(self.seeds)
-
-    def arrays(self) -> dict:
-        """Name -> numpy array view, the shared-memory arena payload."""
-        np = kernels.numpy()
-        return {
-            "seeds": np.asarray(self.seeds, dtype=np.uint64),
-            "constants": np.asarray(self.constants, dtype=np.int64),
-            "targets": np.asarray(self.targets, dtype=np.int64),
-            "ops": np.asarray(self.ops, dtype=np.int64),
-            "operand_kind": np.asarray(self.operand_kind, dtype=np.int64),
-            "operand_idx": np.asarray(self.operand_idx, dtype=np.int64),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "DrawnCorpus":
-        return cls(
-            [int(s) for s in arrays["seeds"].tolist()],
-            arrays["constants"].tolist(),
-            arrays["targets"].tolist(),
-            arrays["ops"].tolist(),
-            arrays["operand_kind"].tolist(),
-            arrays["operand_idx"].tolist(),
-        )
 
 
 def draw_corpus(config: GeneratorConfig, seeds) -> DrawnCorpus:
@@ -695,7 +672,7 @@ def _compile_vectorized(
 def compile_drawn_cases(
     drawn: DrawnCorpus, config: GeneratorConfig, timing: TimingModel
 ) -> list[BenchmarkCase]:
-    """Fused front end over an already-drawn corpus (or an arena view)."""
+    """Fused front end over an already-drawn corpus."""
     variables = config.variable_names()
     # One timing lookup per opcode for the whole batch; the per-case
     # assembly attaches these to each record instead of re-keying a

@@ -72,7 +72,7 @@ class TestProfilerMerge:
     def _parts(self) -> list[Profiler]:
         a = _profile(**{"paths.numpy": [(0.1, 0.1), (0.3, 0.2)]})
         a.record_stage_rss("schedule", 1024)
-        a.add_bytes("shm.arena", 4096)
+        a.add_bytes("genvec.drawn", 4096)
         a.peak_rss = 500
         a.record_gc_pause(0.01, 50)
         b = _profile(
@@ -82,7 +82,7 @@ class TestProfilerMerge:
         b.record_stage_rss("generate", 256)
         b.peak_rss = 900
         c = _profile(**{"splice.python": [(0.5, 0.4)]})
-        c.add_bytes("shm.arena", 1000)
+        c.add_bytes("genvec.drawn", 1000)
         c.add_bytes("batch.tensors", 2000)
         c.peak_rss = 700
         c.record_gc_pause(0.02, 10)
@@ -133,7 +133,7 @@ class TestProfilerMerge:
         assert total.kernels["paths.numpy"].wall_s == pytest.approx(0.6)
         assert total.kernels["paths.numpy"].max_s == pytest.approx(0.3)
         assert total.stage_rss == {"schedule": 1536, "generate": 256}
-        assert total.bytes == {"shm.arena": 5096, "batch.tensors": 2000}
+        assert total.bytes == {"genvec.drawn": 5096, "batch.tensors": 2000}
         assert total.peak_rss == 900  # max-merge, not sum
         assert total.gc_pauses == 2
         assert total.gc_pause_s == pytest.approx(0.03)
@@ -230,7 +230,7 @@ class TestCollection:
 
 @needs_fork
 class TestWorkerProfileShipping:
-    """Pool and shm workers ship their profiles home; the parent's
+    """Pool workers ship their profiles home, full or compact; the parent's
     totals cover the serial run's regardless of completion order."""
 
     def test_pool_workers_ship_profiles(self):

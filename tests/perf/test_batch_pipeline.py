@@ -1,14 +1,12 @@
-"""The batched corpus pipeline: digest parity and padded-tensor edges.
+"""The one corpus driver: digest parity and padded-tensor edges.
 
-The batched path -- vectorized generation (:mod:`repro.synth.genvec`),
-lockstep scheduling (:mod:`repro.core.batchrun`), and the zero-copy
-shared-memory driver (:mod:`repro.perf.shm`) -- must be *bit-identical*
-to the case-at-a-time pipeline: the whole matrix of
-``REPRO_BACKEND={python,numpy}`` x batched/unbatched x serial/parallel
-has to land on one ``results_digest``.  The padded 3-D tensors of
-:mod:`repro.kernels.batch` are additionally pinned at the uint64 word
-edges (63/64/65 bits), where an off-by-one in the word count silently
-truncates the widest case.
+Every way :func:`run_corpus` can run a point -- in-process or on a fork
+pool, with full or compact results, on either backend, filtered or not,
+at any chunk size -- must be *bit-identical* to the per-case reference
+loop below (``generate_cases`` + ``schedule_dag``).  The padded 3-D
+tensors of :mod:`repro.kernels.batch` are additionally pinned at the
+uint64 word edges (63/64/65 bits), where an off-by-one in the word count
+silently truncates the widest case.
 """
 
 from __future__ import annotations
@@ -18,12 +16,10 @@ import pytest
 from repro import kernels
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
-from repro.perf.parallel import (
-    CompactResult,
-    fork_available,
-    resolve_batch,
-    results_digest,
-)
+from repro.obs import metrics as obs_metrics
+from repro.perf import parallel
+from repro.perf.parallel import CompactResult, fork_available, results_digest
+from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -33,6 +29,9 @@ needs_fork = pytest.mark.skipif(
 needs_numpy = pytest.mark.skipif(
     not kernels.have_numpy(), reason="numpy not available"
 )
+
+#: ``run_corpus`` paths: mode -> (jobs, compact).
+MODES = {"serial": (1, False), "jobs2": (2, False), "jobs2-compact": (2, True)}
 
 
 def batch_point(**kw):
@@ -46,72 +45,136 @@ def batch_point(**kw):
     return ExperimentPoint(**defaults)
 
 
-class TestResolveBatch:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(None) == 100
+def accept_even_syncs(case) -> bool:  # module-level: must cross processes
+    return case.implied_synchronizations % 2 == 0
 
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "7")
-        assert resolve_batch(None) == 7
 
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "7")
-        assert resolve_batch(3) == 3
+def reject_everything(case) -> bool:  # module-level: must cross processes
+    return False
 
-    def test_one_is_valid(self):
-        assert resolve_batch(1) == 1
 
-    @pytest.mark.parametrize("bad", ["0", "-4", "x", "2.5"])
-    def test_bad_env_values(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_BATCH", bad)
-        with pytest.raises(ValueError):
-            resolve_batch(None)
+def reference_digest(point, accept=None) -> str:
+    """The specification: one case at a time on the python backend."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_BACKEND", "python")
+        mp.delenv("REPRO_CHECK_KERNELS", raising=False)
+        cases = generate_cases(
+            point.generator,
+            point.count,
+            point.master_seed,
+            timing=point.timing,
+            accept=accept,
+        )
+        return results_digest(
+            [
+                schedule_dag(
+                    case.dag, point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
+                )
+                for case in cases
+            ]
+        )
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_batch(0)
+
+@pytest.fixture(scope="module")
+def reference():
+    """Reference digests of :func:`batch_point`, keyed by filter."""
+    point = batch_point()
+    return {
+        None: reference_digest(point),
+        accept_even_syncs: reference_digest(point, accept_even_syncs),
+    }
+
+
+def use_backend(monkeypatch, backend):
+    """Select a backend.  On numpy the vectorized generator and the
+    batched scheduler run on every chunk, however small."""
+    if backend == "numpy" and not kernels.have_numpy():
+        pytest.skip("numpy not available")
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+    if backend == "numpy":
+        monkeypatch.setitem(kernels.THRESHOLDS, "genvec", 1)
+        monkeypatch.setitem(kernels.THRESHOLDS, "batch", 1)
+
+
+def mode_digest(point, mode, accept=None) -> str:
+    """Run ``point`` one way; compact pool runs must return compact rows."""
+    jobs, compact = MODES[mode]
+    if jobs > 1 and not fork_available():
+        pytest.skip("platform has no fork start method")
+    results = run_corpus(point, accept=accept, jobs=jobs, compact=compact)
+    assert len(results) == point.count
+    assert all(isinstance(r, CompactResult) == compact for r in results)
+    return results_digest(results)
 
 
 class TestDigestParityMatrix:
-    """One digest across backend x batched/unbatched x serial/parallel."""
+    """One digest across path x backend x filter x chunk size."""
+
+    @pytest.mark.parametrize(
+        "accept", [None, accept_even_syncs], ids=["unfiltered", "filtered"]
+    )
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_matches_reference(
+        self, monkeypatch, reference, mode, backend, accept
+    ):
+        use_backend(monkeypatch, backend)
+        assert mode_digest(batch_point(), mode, accept) == reference[accept]
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_batched_vs_unbatched(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        point = batch_point()
-        unbatched = results_digest(run_corpus(point, jobs=1, batch=1))
-        batched = results_digest(run_corpus(point, jobs=1, batch=8))
-        assert unbatched == batched
+    def test_batched_vs_unbatched(self, monkeypatch, reference, backend):
+        """In-process chunks of 1 and 3 seeds (a ragged tail) match the
+        per-case reference."""
+        use_backend(monkeypatch, backend)
+        for chunk in (1, 3):
+            monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
+            assert mode_digest(batch_point(), "serial") == reference[None]
 
     @needs_fork
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_parallel_matches_batched_serial(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        point = batch_point()
-        serial = results_digest(run_corpus(point, jobs=1, batch=8))
-        parallel = results_digest(run_corpus(point, jobs=2, batch=1))
-        assert serial == parallel
+    def test_parallel_matches_batched_serial(
+        self, monkeypatch, reference, backend
+    ):
+        """Pool chunks of 1 and 3 seeds match the reference, full and
+        compact."""
+        use_backend(monkeypatch, backend)
+        for chunk in (1, 3):
+            monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
+            for mode in ("jobs2", "jobs2-compact"):
+                assert mode_digest(batch_point(), mode) == reference[None]
 
-    def test_batched_filtered_corpus(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        point = batch_point(count=10)
+    def test_batched_filtered_corpus(self, monkeypatch, reference):
+        """A filter keeps cases by position at every chunk size."""
+        use_backend(monkeypatch, "numpy" if kernels.have_numpy() else "python")
+        modes = ["serial", "jobs2"] if fork_available() else ["serial"]
+        for chunk in (1, 3):
+            monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
+            for mode in modes:
+                digest = mode_digest(batch_point(), mode, accept_even_syncs)
+                assert digest == reference[accept_even_syncs]
 
-        def accept(case):
-            return case.implied_synchronizations % 2 == 0
-
-        a = results_digest(run_corpus(point, accept=accept, batch=1))
-        b = results_digest(run_corpus(point, accept=accept, batch=4))
-        assert a == b
-
-    def test_batched_exhaustion_matches_serial(self):
+    def test_batched_exhaustion_matches_serial(self, monkeypatch):
+        """An exhausted filter fails with generate_cases' message at any
+        chunk size, in-process and on the pool."""
         point = batch_point(count=3)
-        messages = []
-        for batch in (1, 4):
-            with pytest.raises(RuntimeError) as err:
-                run_corpus(point, accept=lambda case: False, batch=batch)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(RuntimeError) as err:
+            list(
+                generate_cases(
+                    point.generator,
+                    point.count,
+                    point.master_seed,
+                    accept=reject_everything,
+                )
+            )
+        expected = str(err.value)
+        jobs_values = (1, 2) if fork_available() else (1,)
+        for chunk in (1, 3, parallel.DEFAULT_BATCH):
+            monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
+            for jobs in jobs_values:
+                with pytest.raises(RuntimeError) as err:
+                    run_corpus(point, accept=reject_everything, jobs=jobs)
+                assert str(err.value) == expected
 
     @needs_numpy
     def test_check_mode_batched(self, monkeypatch):
@@ -119,10 +182,13 @@ class TestDigestParityMatrix:
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         point = batch_point(count=6)
-        batched = results_digest(run_corpus(point, jobs=1, batch=6))
-        monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert batched == results_digest(run_corpus(point, jobs=1, batch=1))
+        with obs_metrics.collect_metrics() as metrics:
+            digest = results_digest(run_corpus(point, jobs=1))
+        assert digest == reference_digest(point)
+        assert metrics.counter("kernels.calls.genvec.numpy") == 1
+        assert metrics.counter("kernels.calls.batch.numpy") == 1
+        assert metrics.counter("kernels.check.checked") > 0
+        assert metrics.counter("kernels.check.mismatches") == 0
 
 
 class TestBatchedScheduling:
@@ -220,25 +286,7 @@ class TestWordEdges:
 
 @needs_fork
 @needs_numpy
-class TestZeroCopyDriver:
-    def test_compact_results_match_serial_digest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        from repro.perf.shm import run_cases_shm
-
-        point = batch_point(count=16)
-        compact = run_cases_shm(
-            point.generator,
-            point.count,
-            point.master_seed,
-            point.timing,
-            point.scheduler,
-            jobs=2,
-        )
-        assert compact is not None
-        assert all(isinstance(r, CompactResult) for r in compact)
-        serial = run_corpus(point, jobs=1, batch=1)
-        assert results_digest(compact) == results_digest(serial)
-
+class TestCompactResults:
     def test_aggregation_reads_compact_results(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         from repro.metrics.stats import aggregate_results
@@ -251,25 +299,3 @@ class TestZeroCopyDriver:
         assert serial.per_benchmark == compact.per_benchmark
         assert serial.mean_makespan_max == compact.mean_makespan_max
         assert serial.mean_processors_used == compact.mean_processors_used
-
-    def test_python_backend_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        from repro.perf.shm import run_cases_shm
-
-        point = batch_point(count=8)
-        assert (
-            run_cases_shm(
-                point.generator,
-                point.count,
-                point.master_seed,
-                point.timing,
-                point.scheduler,
-                jobs=2,
-            )
-            is None
-        )
-        # ... and run_corpus still serves full results via the pool.
-        results = run_corpus(point, jobs=2, compact=True)
-        assert results_digest(results) == results_digest(
-            run_corpus(point, jobs=1)
-        )

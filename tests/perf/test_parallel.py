@@ -1,24 +1,30 @@
-"""The parallel corpus driver: jobs resolution and serial/parallel parity.
+"""The corpus driver on a fork pool: jobs resolution, parity, check mode.
 
 The determinism regression here is the load-bearing guarantee of the
 whole performance layer: a seeded corpus scheduled with ``jobs=4`` must
 produce the *identical* ``ScheduleResult`` sequence as the serial loop
 (compared via a stable digest), so parallelization can never silently
-move paper numbers.
+move paper numbers.  Pool workers run the same chunk code as a serial
+run, so ``REPRO_CHECK_KERNELS=1`` cross-checks them the same way.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point
+from repro.ir.tuples import TupleProgram
+from repro.obs import metrics as obs_metrics
+from repro.perf import parallel
 from repro.perf.parallel import (
+    CompactResult,
     fork_available,
     resolve_jobs,
     results_digest,
-    run_cases_parallel,
 )
+from repro.synth import genvec
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -99,55 +105,88 @@ class TestDeterminism:
         assert results_digest(a) != results_digest(a[:-1])
 
 
+class _NoPool:
+    def __init__(self, *args, **kwargs) -> None:
+        raise AssertionError("a process pool was created")
+
+
 class TestFallbacks:
-    def test_unpicklable_accept_falls_back(self):
-        """A closure accept filter cannot cross processes; the parallel
-        entry declines (returns None) and run_corpus serves serially."""
+    def test_unpicklable_accept_falls_back(self, monkeypatch):
+        """A closure accept filter cannot cross processes, so the chunks
+        run in-process, uncompacted, and no pool is ever created."""
         point = small_point(count=4)
         threshold = 0
 
         def accept(case):  # closure -> unpicklable
             return case.implied_synchronizations >= threshold
 
-        assert (
-            run_cases_parallel(
-                point.generator,
-                point.count,
-                point.master_seed,
-                point.timing,
-                point.scheduler,
-                accept,
-                jobs=4,
-            )
-            is None
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+        results = run_corpus(point, accept=accept, jobs=4, compact=True)
+        assert not any(isinstance(r, CompactResult) for r in results)
+        assert results_digest(results) == results_digest(
+            run_corpus(point, jobs=1)
         )
-        results = run_corpus(point, accept=accept, jobs=4)
-        assert results_digest(results) == results_digest(run_corpus(point))
 
-    def test_jobs1_never_pools(self):
+    def test_jobs1_never_pools(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
         point = small_point(count=2)
-        assert (
-            run_cases_parallel(
-                point.generator,
-                point.count,
-                point.master_seed,
-                point.timing,
-                point.scheduler,
-                None,
-                jobs=1,
-            )
-            is None
-        )
+        assert len(run_corpus(point, jobs=1, compact=True)) == 2
 
     @needs_fork
     def test_exhausted_filter_raises_like_serial(self):
         point = small_point(count=2)
-
-        with pytest.raises(RuntimeError, match="corpus filter accepted only"):
-            run_corpus(
-                point, accept=_reject_everything, jobs=4
-            )
+        messages = []
+        for jobs in (1, 4):
+            with pytest.raises(RuntimeError, match="accepted only") as err:
+                run_corpus(point, accept=_reject_everything, jobs=jobs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def _reject_everything(case) -> bool:  # module-level: must cross processes
     return False
+
+
+def _drop_first_cases_last_tuple(compile_drawn_cases):
+    """Wrap genvec's fused front end so its first case loses a tuple."""
+
+    def perturbed(drawn, config, timing):
+        cases = compile_drawn_cases(drawn, config, timing)
+        first = cases[0]
+        object.__setattr__(
+            first, "program", TupleProgram(first.program.tuples[:-1])
+        )
+        return cases
+
+    return perturbed
+
+
+@needs_fork
+@pytest.mark.skipif(not kernels.have_numpy(), reason="numpy not available")
+class TestCheckMode:
+    """``REPRO_CHECK_KERNELS=1`` cross-checks the vectorized front end in
+    pool workers, and their dispatch tallies reach the parent."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
+    def test_workers_cross_check_genvec(self, monkeypatch, compact):
+        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        # Fork workers inherit the patch.
+        monkeypatch.setattr(
+            genvec,
+            "compile_drawn_cases",
+            _drop_first_cases_last_tuple(genvec.compile_drawn_cases),
+        )
+        with pytest.raises(AssertionError, match="failed for 'genvec'"):
+            run_corpus(small_point(count=16), jobs=2, compact=compact)
+
+    def test_clean_run_tallies_genvec(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        point = small_point(count=16)
+        with obs_metrics.collect_metrics() as metrics:
+            parallel_digest = results_digest(run_corpus(point, jobs=2))
+        assert metrics.counter("kernels.calls.genvec.numpy") > 0
+        assert metrics.counter("kernels.check.checked") > 0
+        assert metrics.counter("kernels.check.mismatches") == 0
+        assert parallel_digest == results_digest(run_corpus(point, jobs=1))
