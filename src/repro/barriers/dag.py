@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
 
-from repro import kernels
 from repro.barriers.model import Barrier
 from repro.obs.metrics import current_registry
 from repro.obs.spans import span
@@ -89,9 +88,6 @@ class BarrierDag:
         # revision, whenever it mutates -- so the memo never goes stale.
         self._desc_bits: list[int] | None = None
         self._desc_sets: dict[int, frozenset[int]] = {}
-        # Lazily built edge tables for the numpy path kernels
-        # (repro.kernels.pathvec); never survives an evolved copy.
-        self._kern_cache = None
 
     # -- basic structure ------------------------------------------------------
 
@@ -194,7 +190,6 @@ class BarrierDag:
         new._order_index = {bid: k for k, bid in enumerate(new._topo)}
         new._fire = self._refire(new, edge_edits, extra=(new_barrier.id,))
         new._desc_sets = {}
-        new._kern_cache = None
         if spliced and self._desc_bits is not None:
             new._desc_bits = self._spliced_desc_bits(new, pos, new_barrier.id)
         else:
@@ -252,7 +247,6 @@ class BarrierDag:
         )
         new._desc_sets = {}
         new._desc_bits = None  # merges reroute reachability; recompute lazily
-        new._kern_cache = None
         return new
 
     def _edited_adjacency(
@@ -362,30 +356,6 @@ class BarrierDag:
         node the union of its successors' closures, and OR that gain into
         every (transitive) ancestor.  Exact because every added edge is
         incident to the new node, so no other reachability changes."""
-        oi = new._order_index
-        if kernels.use_numpy("splice", len(self._desc_bits)):
-            from repro.kernels import bitset
-
-            with kernels.timed("splice", "numpy"):
-                result = bitset.spliced_desc_bits(
-                    self._desc_bits,
-                    pos,
-                    [oi[s] for s in new._succs[new_id]],
-                    [oi[p] for p in new._preds[new_id]],
-                )
-            if kernels.checking():
-                kernels.verify(
-                    "splice",
-                    result,
-                    self._spliced_desc_bits_python(new, pos, new_id),
-                )
-            return result
-        with kernels.timed("splice", "python"):
-            return self._spliced_desc_bits_python(new, pos, new_id)
-
-    def _spliced_desc_bits_python(
-        self, new: "BarrierDag", pos: int, new_id: int
-    ) -> list[int]:
         low = (1 << pos) - 1
         bits = [((w >> pos) << (pos + 1)) | (w & low) for w in self._desc_bits]
         bits.insert(pos, 0)
@@ -419,34 +389,15 @@ class BarrierDag:
         instead of the per-query DFS the path enumeration used to pay.
         """
         if self._desc_bits is None:
-            if kernels.use_numpy("descbits", len(self._topo)):
-                from repro.kernels import bitset
-
-                with kernels.timed("descbits", "numpy"):
-                    succ_idx = [
-                        [self._order_index[s] for s in self._succs[bid]]
-                        for bid in self._topo
-                    ]
-                    bits = bitset.descendant_bits(succ_idx)
-                if kernels.checking():
-                    kernels.verify(
-                        "descbits", bits, self._descendant_bits_python()
-                    )
-            else:
-                with kernels.timed("descbits", "python"):
-                    bits = self._descendant_bits_python()
+            bits = [0] * len(self._topo)
+            for idx in range(len(self._topo) - 1, -1, -1):
+                acc = 0
+                for s in self._succs[self._topo[idx]]:
+                    si = self._order_index[s]
+                    acc |= bits[si] | (1 << si)
+                bits[idx] = acc
             self._desc_bits = bits
         return self._desc_bits
-
-    def _descendant_bits_python(self) -> list[int]:
-        bits = [0] * len(self._topo)
-        for idx in range(len(self._topo) - 1, -1, -1):
-            acc = 0
-            for s in self._succs[self._topo[idx]]:
-                si = self._order_index[s]
-                acc |= bits[si] | (1 << si)
-            bits[idx] = acc
-        return bits
 
     def descendants(self, barrier_id: int) -> frozenset[int]:
         """All barriers ordered after ``barrier_id`` (excluding itself)."""
@@ -513,20 +464,6 @@ class BarrierDag:
             return 0
         if not self.has_path(u, v):
             return None
-        if kernels.use_numpy("paths", len(self._topo)):
-            from repro.kernels import pathvec
-
-            with kernels.timed("paths", "numpy"):
-                result = pathvec.longest(self, u, v, use_max)
-            if kernels.checking():
-                kernels.verify(
-                    "paths", result, self._longest_python(u, v, use_max)
-                )
-            return result
-        with kernels.timed("paths", "python"):
-            return self._longest_python(u, v, use_max)
-
-    def _longest_python(self, u: int, v: int, use_max: bool) -> int | None:
         start = self._order_index[u]
         end = self._order_index[v]
         best: dict[int, int] = {u: 0}

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro import kernels
 from repro.barriers.dag import BarrierDag
 from repro.obs.spans import span
 
@@ -50,28 +49,6 @@ class DominatorTree:
     def __init__(self, dag: BarrierDag, _idom: dict[int, int] | None = None) -> None:
         self._dag = dag
         self._idom: dict[int, int] = _compute_idoms(dag) if _idom is None else _idom
-        if kernels.use_numpy("domin", len(dag)):
-            from repro.kernels import domin
-
-            with kernels.timed("domin", "numpy"):
-                depth, tin, tout = domin.tree_views(dag, self._idom)
-            if kernels.checking():
-                kernels.verify(
-                    "domin", (depth, tin, tout), self._tree_views_python()
-                )
-        else:
-            with kernels.timed("domin", "python"):
-                depth, tin, tout = self._tree_views_python()
-        self._depth = depth
-        self._tin = tin
-        self._tout = tout
-        #: Binary-lifting ancestor table, built lazily on the first NCA query.
-        self._up: list[dict[int, int]] | None = None
-
-    def _tree_views_python(
-        self,
-    ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        dag = self._dag
         root = dag.initial.id
         depth: dict[int, int] = {root: 0}
         # Nodes come out of barrier_ids topologically sorted, and an idom
@@ -100,7 +77,11 @@ class DominatorTree:
             stack.append((node, True))
             for child in reversed(children[node]):
                 stack.append((child, False))
-        return depth, tin, tout
+        self._depth = depth
+        self._tin = tin
+        self._tout = tout
+        #: Binary-lifting ancestor table, built lazily on the first NCA query.
+        self._up: list[dict[int, int]] | None = None
 
     @classmethod
     def evolved(

@@ -33,7 +33,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
-from repro import kernels
 from repro.barriers.dag import BarrierDag
 from repro.obs.spans import event
 
@@ -111,21 +110,6 @@ def path_length(dag: BarrierDag, path: Sequence[int], use_max: bool) -> int:
 def _completion_bounds(dag: BarrierDag, u: int, v: int) -> dict[int, int]:
     """Longest max-time path length from each node to ``v``, for every
     node on some ``u -> v`` path.  One reverse-topological sweep."""
-    if kernels.use_numpy("paths", len(dag)):
-        from repro.kernels import pathvec
-
-        with kernels.timed("paths", "numpy"):
-            result = pathvec.completion_bounds(dag, u, v)
-        if kernels.checking():
-            kernels.verify(
-                "paths.bounds", result, _completion_bounds_python(dag, u, v)
-            )
-        return result
-    with kernels.timed("paths", "python"):
-        return _completion_bounds_python(dag, u, v)
-
-
-def _completion_bounds_python(dag: BarrierDag, u: int, v: int) -> dict[int, int]:
     bound: dict[int, int] = {v: 0}
     order = dag.barrier_ids
     index = dag.order_index
@@ -225,25 +209,6 @@ def longest_min_path_with_forced_max(
     if not dag.has_path(u, w):
         return None
     forced = set(forced_edges)
-    if kernels.use_numpy("paths", len(dag)):
-        from repro.kernels import pathvec
-
-        with kernels.timed("paths", "numpy"):
-            result = pathvec.longest_min_forced(dag, u, w, forced)
-        if kernels.checking():
-            kernels.verify(
-                "paths.forced",
-                result,
-                _longest_min_forced_python(dag, u, w, forced),
-            )
-        return result
-    with kernels.timed("paths", "python"):
-        return _longest_min_forced_python(dag, u, w, forced)
-
-
-def _longest_min_forced_python(
-    dag: BarrierDag, u: int, w: int, forced: set[tuple[int, int]]
-) -> int | None:
     order = dag.barrier_ids
     index = dag.order_index
     end = index[w]

@@ -10,8 +10,8 @@ once per chunk via :mod:`repro.kernels.batch`:
   merge round pays (primed for every cold case in one reachability
   batch, then patched incrementally as usual);
 * the merge-verdict rounds of finalization (one ``(C, n, n)`` tensor
-  round for every case still sweeping, instead of one matrix per case
-  per round).
+  round for every case still sweeping, instead of one python pair scan
+  per case per round).
 
 Everything order-sensitive -- list ordering, processor assignment,
 barrier insertion, edge classification, repair -- still runs the
@@ -172,8 +172,8 @@ def _batched_finalize(built, configs, reg):
     repair) iterations to a joint fixpoint -- but each *merge round* is
     one :func:`repro.kernels.batch.first_candidates` call shared by all
     active cases.  One round finds at most one pair per case (the same
-    first pair the serial matrix/cached scans find), so the per-case
-    merge sequence, and with it the surviving barrier set, is identical.
+    first pair the serial cached scan finds), so the per-case merge
+    sequence, and with it the surviving barrier set, is identical.
     """
     from repro.kernels import batch as kbatch
 

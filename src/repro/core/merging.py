@@ -33,7 +33,6 @@ Two structural facts keep the operation well-defined:
 
 from __future__ import annotations
 
-from repro import kernels
 from repro.barriers.model import Barrier
 from repro.core.schedule import Schedule
 from repro.obs.metrics import current_registry
@@ -127,39 +126,9 @@ def merge_all_overlapping(schedule: Schedule) -> int:
     while True:
         rounds += 1
         with span("merge.round", round=rounds):
-            barriers = schedule.barriers()
-            pair: tuple[Barrier, Barrier] | None = None
-            # The matrix kernel recomputes the whole round at once --
-            # equivalent to the cached scan because "ordered" verdicts
-            # are permanent and "disjoint" ones hold while fires do.
-            # Provenance wants one record per rejected pair, so an
-            # active recorder keeps the python scan.
-            if rec is None and kernels.use_numpy("merge", len(barriers)):
-                from repro.kernels import mergemat
-
-                with kernels.timed("merge", "numpy"):
-                    ids = [b.id for b in barriers]
-                    found = mergemat.first_candidate(
-                        ids,
-                        [fire[bid].lo for bid in ids],
-                        [fire[bid].hi for bid in ids],
-                        schedule.hb_barrier_descendants(),
-                    )
-                if kernels.checking():
-                    kernels.verify(
-                        "merge",
-                        found,
-                        _first_candidate_python(schedule, barriers, fire),
-                    )
-                if reg is not None:
-                    reg.inc("merge.verdict.matrix_rounds")
-                if found is not None:
-                    pair = (barriers[found[0]], barriers[found[1]])
-            else:
-                with kernels.timed("merge", "python"):
-                    pair = _scan_round(
-                        schedule, barriers, fire, ordered, disjoint, reg, rec
-                    )
+            pair = _scan_round(
+                schedule, schedule.barriers(), fire, ordered, disjoint, reg, rec
+            )
             if pair is None:
                 return absorbed
             survivor, victim = pair
@@ -186,8 +155,9 @@ def merge_all_overlapping(schedule: Schedule) -> int:
 
 
 def _first_candidate_python(schedule, barriers, fire):
-    """Cache-free reference scan for the matrix kernel's cross-check:
-    position pair of the round's first H-unordered overlapping pair."""
+    """Cache-free reference scan for the batched merge kernel's
+    cross-check (:func:`repro.kernels.batch.first_candidates`): position
+    pair of the round's first H-unordered overlapping pair."""
     for a_idx, a in enumerate(barriers):
         for b_idx in range(a_idx + 1, len(barriers)):
             b = barriers[b_idx]
@@ -199,8 +169,8 @@ def _first_candidate_python(schedule, barriers, fire):
 
 
 def _scan_round(schedule, barriers, fire, ordered, disjoint, reg, rec):
-    """One python round of the worklist scan (the canonical path):
-    returns the first mergeable pair, updating the verdict caches."""
+    """One round of the worklist scan: returns the first mergeable pair,
+    updating the verdict caches."""
     for a_idx, a in enumerate(barriers):
         for b in barriers[a_idx + 1:]:
             key = (a.id, b.id)

@@ -1,14 +1,18 @@
-"""Vectorized (numpy) backends behind the pure-python hot loops.
+"""Vectorized (numpy) backends behind three pure-python routines.
 
-The scheduling pipeline's inner loops -- descendant-bitset reachability
-(:mod:`repro.barriers.dag`), k-longest-path relaxation
-(:mod:`repro.barriers.paths`), dominator/Euler recompute
-(:mod:`repro.barriers.dominators`), the ``merge_all_overlapping``
-verdict scan (:mod:`repro.core.merging`), and the per-PE
-earliest-start scan of list scheduling (:mod:`repro.core.assignment`)
--- each have a numpy kernel sitting *behind* the canonical pure-python
-implementation.  The python code stays the specification; a kernel is
-only ever an accelerator that must produce bit-identical results.
+Three routines have a numpy kernel sitting *behind* the canonical
+pure-python implementation: the per-PE earliest-start scan of list
+scheduling (``assign``: :mod:`repro.core.assignment`, kernel
+:mod:`repro.kernels.assignvec`), the corpus generator (``genvec``:
+:mod:`repro.synth.genvec`) and the chunk-batched scheduler (``batch``:
+:mod:`repro.core.batchrun`, kernels :mod:`repro.kernels.batch`).  The
+python code stays the specification; a kernel is only ever an
+accelerator that must produce bit-identical results.
+
+Reachability, the longest-path relaxations, the dominator tree and the
+merge scans have no kernel: they run on one block's barrier dag, which
+stays far below the size where array setup pays for itself, so python
+is their only implementation.
 
 Backend selection (``REPRO_BACKEND``):
 
@@ -68,18 +72,10 @@ __all__ = [
 
 VALID_BACKENDS = ("python", "numpy", "auto")
 
-#: ``auto`` engages a kernel when its size measure (barriers in the dag
-#: for the graph kernels, schedule barriers for ``merge``, step-[2]
-#: candidates -- active PEs plus one idle class -- for ``assign``)
-#: reaches the threshold.  Calibrated so the default 8-PE /
-#: 10-30-statement corpora stay pure python while paper-scale runs
-#: vectorize.
+#: ``auto`` engages a kernel when its size measure reaches the
+#: threshold.  ``assign`` is sized by step-[2] candidates (active PEs
+#: plus one idle class), so narrow machines stay pure python.
 THRESHOLDS: dict[str, int] = {
-    "descbits": 128,
-    "splice": 128,
-    "paths": 128,
-    "domin": 192,
-    "merge": 48,
     "assign": 64,
     # Batched corpus kernels: sizes are *cases per batch*, not nodes.
     # The vectorized generator wins from ~8 cases up (the flat-gather
@@ -208,7 +204,7 @@ _NOOP_TIMER = _NoopTimer()
 def timed(kernel: str, backend: str) -> "_KernelTimer | _NoopTimer":
     """Count one dispatch decision and time the block it guards.
 
-    ``with kernels.timed("paths", "numpy"): ...`` is :func:`count` plus
+    ``with kernels.timed("assign", "numpy"): ...`` is :func:`count` plus
     -- when a :func:`repro.obs.prof.collect_profile` subscriber is
     active -- a wall/CPU timing observation under the key
     ``<kernel>.<backend>``.  Without a profiler the returned context

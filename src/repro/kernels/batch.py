@@ -1,10 +1,9 @@
 """Corpus-batched kernels: one numpy dispatch per chunk, not per case.
 
-The per-schedule kernels (:mod:`repro.kernels.bitset`,
-:mod:`repro.kernels.pathvec`, :mod:`repro.kernels.mergemat`) each pay
-numpy dispatch overhead on a single small matrix.  At corpus scale the
-same work repeats across 100 independent cases, so these kernels take a
-whole *chunk* of cases at once: the per-case bit-matrices are packed
+One block's barrier dag is too small for a numpy kernel to pay its
+dispatch overhead on a single matrix.  At corpus scale the same work
+repeats across 100 independent cases, so these kernels take a whole
+*chunk* of cases at once: the per-case bit-matrices are packed
 into one padded 3-D uint64 tensor with a size map, the sweep runs in
 lockstep across the case axis, and the results unpack exactly per case
 -- the batched driver (:mod:`repro.core.batchrun`) is bit-identical to
@@ -19,12 +18,12 @@ steps regardless of per-case size.
 Three batched kernels:
 
 * :func:`reach_batch` -- descendant-bitset reachability closure over
-  many graphs (the batched twin of ``bitset.descendant_bits``, general
-  enough to also sweep the happens-before graph H);
+  many graphs (the batched twin of the barrier dag's python sweep,
+  general enough to also sweep the happens-before graph H);
 * :func:`heights_batch` -- the min/max-height longest-path relaxation
   of :func:`repro.core.labeling.compute_heights` over many DAGs;
-* :func:`first_candidates` -- one merge-verdict round
-  (``mergemat.first_candidate``) for many schedules.
+* :func:`first_candidates` -- one merge-verdict round for many
+  schedules.
 
 Plus the padded-tensor boundary helpers :func:`pack_bitmats` /
 :func:`unpack_bitmats` that the kernels use to move between per-case
@@ -106,8 +105,8 @@ def reach_batch(
     For each case ``c`` with nodes in topological positions
     ``0..n_c-1``: ``desc[i] = OR over direct successors s of
     (desc[s] | self_bits[s])`` -- one reverse sweep, all cases in
-    lockstep.  With ``self_bits[i] = 1 << i`` this is exactly
-    ``bitset.descendant_bits`` per case; the happens-before sweep of
+    lockstep.  With ``self_bits[i] = 1 << i`` this is exactly the
+    barrier dag's descendant bitsets per case; the happens-before sweep of
     :meth:`repro.core.schedule.Schedule.hb_barrier_descendants` uses
     barrier-indexed self bits (zero for instruction nodes) instead.
 
@@ -222,9 +221,11 @@ def first_candidates(
 ) -> list[tuple[int, int] | None]:
     """One merge-verdict round for many schedules at once.
 
-    Each element of ``rounds`` is the ``(ids, lo, hi, desc)`` input of
-    :func:`repro.kernels.mergemat.first_candidate` for one schedule;
-    the round's orderedness and overlap tests run as one ``(C, n, n)``
+    Each element of ``rounds`` is one schedule's ``(ids, lo, hi,
+    desc)``: its barrier ids in scan order, their fire-window bounds and
+    its happens-before barrier descendants
+    (:meth:`repro.core.schedule.Schedule.hb_barrier_descendants`).  The
+    round's orderedness and overlap tests run as one ``(C, n, n)``
     boolean tensor and each case's first candidate pair (row-major in
     the id-sorted upper triangle, exactly the python scan's order) is
     read off with a single ``argmax`` row.  Returns one

@@ -285,7 +285,6 @@ def run_perf_report(
     if count is None:
         count = PRESET_COUNTS[preset]
     jobs = resolve_jobs(jobs)
-    kernels.reset_calls()
     base = ExperimentPoint(
         generator=GeneratorConfig(n_statements=20, n_variables=8),
         scheduler=SchedulerConfig(n_pes=8),
@@ -329,6 +328,15 @@ def run_perf_report(
             # imbalance) into the report's metrics block.
             analyze_trace(program, trace)
     wall = time.perf_counter() - start
+    merged = metrics.as_dict()
+    # Pool workers count their dispatches into the merged metrics, not
+    # into this process's module tally, so the report reads the former.
+    backend = kernels.kernels_info()
+    backend["calls"] = {
+        key: n
+        for key, n in merged["counters"].items()
+        if key.startswith("kernels.calls.")
+    }
 
     points = [
         {
@@ -369,7 +377,7 @@ def run_perf_report(
             }
             for i, (axis, vals, overrides) in enumerate(legs)
         ],
-        "backend": kernels.kernels_info(),
+        "backend": backend,
         "simulated_cases": len(sim_results),
         "wall_s": wall,
         "cases_per_s": (
@@ -378,7 +386,7 @@ def run_perf_report(
             else 0.0
         ),
         "stages": timings.as_dict(),
-        "metrics": metrics.as_dict(),
+        "metrics": merged,
         "profile": prof.as_dict(),
         "results_digest": results_digest(sim_results),
         "points": points,

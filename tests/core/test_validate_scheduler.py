@@ -31,6 +31,25 @@ def hand_schedule_with_violation():
     return sched
 
 
+def hand_schedule_with_two_violations():
+    """Two independent unprotected cross-PE edges on three processors."""
+    dag = InstructionDAG.build(
+        {
+            "g1": Interval(1, 4),
+            "i1": Interval(1, 1),
+            "g2": Interval(16, 24),
+            "i2": Interval(1, 1),
+        },
+        [("g1", "i1"), ("g2", "i2")],
+    )
+    sched = Schedule(dag, 3)
+    sched.append_instruction(0, "g1")
+    sched.append_instruction(1, "i1")
+    sched.append_instruction(1, "g2")
+    sched.append_instruction(2, "i2")
+    return sched
+
+
 class TestCheckStructure:
     def test_complete_schedule_passes(self):
         sched = hand_schedule_with_violation()
@@ -70,24 +89,10 @@ class TestFindViolationsAndRepair:
         assert find_violations(sched) == []
 
     def test_repair_loop_fixes_multiple_broken_edges(self):
-        # Two independent unprotected cross-PE edges on three processors:
-        # the insert-and-revalidate loop must keep iterating until every
+        # The insert-and-revalidate loop must keep iterating until every
         # edge is discharged, and the result must survive a full
         # finalize (structure check + revalidation) cleanly.
-        dag = InstructionDAG.build(
-            {
-                "g1": Interval(1, 4),
-                "i1": Interval(1, 1),
-                "g2": Interval(16, 24),
-                "i2": Interval(1, 1),
-            },
-            [("g1", "i1"), ("g2", "i2")],
-        )
-        sched = Schedule(dag, 3)
-        sched.append_instruction(0, "g1")
-        sched.append_instruction(1, "i1")
-        sched.append_instruction(1, "g2")
-        sched.append_instruction(2, "i2")
+        sched = hand_schedule_with_two_violations()
         assert len(find_violations(sched)) >= 1
         added = repair_schedule(sched)
         assert added >= 1
@@ -95,6 +100,35 @@ class TestFindViolationsAndRepair:
         check_structure(sched)
         # Idempotent once sound.
         assert repair_schedule(sched) == 0
+
+    def test_repair_rounds_stop_at_the_first_violation(self, monkeypatch):
+        # A round classifies edges only up to its first violation.  The
+        # dag lists (g2, i2) first, so round 1 stops there, round 2
+        # reads the now-proved (g2, i2) and stops at (g1, i1), and the
+        # closing clean scan reads both: five classifications, where
+        # rescanning every edge in every round would take six.
+        from repro.core import validate
+
+        classified = []
+        real = validate.classify_edge
+
+        def counting(schedule, g, i, mode="conservative"):
+            classified.append((g, i))
+            return real(schedule, g, i, mode)
+
+        monkeypatch.setattr(validate, "classify_edge", counting)
+        sched = hand_schedule_with_two_violations()
+        assert repair_schedule(sched) == 2
+        assert classified == [
+            ("g2", "i2"),
+            ("g2", "i2"),
+            ("g1", "i1"),
+            ("g2", "i2"),
+            ("g1", "i1"),
+        ]
+        classified.clear()
+        assert find_violations(sched) == []
+        assert len(classified) == 2  # the full list still reads every edge
 
     def test_repaired_schedule_executes_race_free(self):
         # The inserted barrier must hold up dynamically, not just in the

@@ -9,7 +9,7 @@ accelerators that must be bit-identical.  These tests pin
   ``REPRO_CHECK_KERNELS=1`` forcing every kernel on (so small corpora
   actually exercise them) and with ``REPRO_CHECK_INCREMENTAL=1``
   layered on top;
-* the bit-matrix pack/unpack round trip at word boundaries.
+* that such a corpus run reaches every kernel :data:`THRESHOLDS` names.
 """
 
 from __future__ import annotations
@@ -140,6 +140,24 @@ class TestDigestParity:
         assert counters.get("kernels.check.checked", 0) > 0
         assert counters.get("kernels.check.mismatches", 0) == 0
 
+    def test_check_mode_reaches_exactly_the_threshold_kernels(
+        self, monkeypatch
+    ):
+        # Check mode forces every reachable kernel onto numpy, so an
+        # entry missing from the dispatched set is a stale threshold,
+        # and an extra kernel is one the table does not list.
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        kernels.reset_calls()
+        corpus_digest()
+        dispatched = {
+            key.split(".")[2]
+            for key, n in kernels.kernels_info()["calls"].items()
+            if key.endswith(".numpy") and n
+        }
+        assert dispatched == set(kernels.THRESHOLDS)
+
     def test_forced_kernels_match_python_with_incremental_checks(
         self, monkeypatch
     ):
@@ -168,20 +186,3 @@ class TestDigestParity:
         assert corpus_digest(n_pes=128, n_statements=40, count=4) == baseline
         calls = kernels.kernels_info()["calls"]
         assert calls.get("kernels.calls.assign.numpy", 0) > 0
-
-
-class TestBitsetPacking:
-    """Word-boundary round trips of the uint64 bit-matrix layout."""
-
-    @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 127, 128, 1024])
-    def test_pack_unpack_round_trip(self, n_bits):
-        pytest.importorskip("numpy")
-        from repro.kernels.bitset import pack_rows, unpack_rows
-
-        rows = [
-            0,
-            (1 << n_bits) - 1,
-            1 << (n_bits - 1),
-            sum(1 << b for b in range(0, n_bits, 7)),
-        ]
-        assert unpack_rows(pack_rows(rows, n_bits)) == rows

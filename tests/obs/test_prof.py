@@ -70,18 +70,18 @@ class TestProfilerMerge:
     parent's totals cannot depend on chunk completion order."""
 
     def _parts(self) -> list[Profiler]:
-        a = _profile(**{"paths.numpy": [(0.1, 0.1), (0.3, 0.2)]})
+        a = _profile(**{"assign.numpy": [(0.1, 0.1), (0.3, 0.2)]})
         a.record_stage_rss("schedule", 1024)
         a.add_bytes("genvec.drawn", 4096)
         a.peak_rss = 500
         a.record_gc_pause(0.01, 50)
         b = _profile(
-            **{"paths.numpy": [(0.2, 0.1)], "splice.python": [(0.05, 0.05)]}
+            **{"assign.numpy": [(0.2, 0.1)], "genvec.python": [(0.05, 0.05)]}
         )
         b.record_stage_rss("schedule", 512)
         b.record_stage_rss("generate", 256)
         b.peak_rss = 900
-        c = _profile(**{"splice.python": [(0.5, 0.4)]})
+        c = _profile(**{"genvec.python": [(0.5, 0.4)]})
         c.add_bytes("genvec.drawn", 1000)
         c.add_bytes("batch.tensors", 2000)
         c.peak_rss = 700
@@ -129,9 +129,9 @@ class TestProfilerMerge:
         total = Profiler()
         for p in self._parts():
             total.merge_from(p)
-        assert total.kernels["paths.numpy"].count == 3
-        assert total.kernels["paths.numpy"].wall_s == pytest.approx(0.6)
-        assert total.kernels["paths.numpy"].max_s == pytest.approx(0.3)
+        assert total.kernels["assign.numpy"].count == 3
+        assert total.kernels["assign.numpy"].wall_s == pytest.approx(0.6)
+        assert total.kernels["assign.numpy"].max_s == pytest.approx(0.3)
         assert total.stage_rss == {"schedule": 1536, "generate": 256}
         assert total.bytes == {"genvec.drawn": 5096, "batch.tensors": 2000}
         assert total.peak_rss == 900  # max-merge, not sum
@@ -158,7 +158,7 @@ class TestProfilerMerge:
 class TestCollection:
     def test_noop_without_profiler(self):
         assert current_profiler() is None
-        with kernels.timed("paths", "python"):
+        with kernels.timed("assign", "python"):
             pass  # must not raise, must not record anywhere
 
     def test_nesting_innermost_wins(self):
@@ -170,9 +170,9 @@ class TestCollection:
 
     def test_timed_records_at_dispatch(self):
         with collect_profile() as prof:
-            with kernels.timed("paths", "python"):
+            with kernels.timed("assign", "python"):
                 sum(range(1000))
-        stat = prof.kernels["paths.python"]
+        stat = prof.kernels["assign.python"]
         assert stat.count == 1
         assert stat.wall_s > 0.0
         assert stat.max_s == pytest.approx(stat.wall_s)
@@ -216,7 +216,7 @@ class TestCollection:
         monkeypatch.setattr("repro.obs.prof.DISABLED", True)
         with collect_profile():
             assert current_profiler() is None
-            with kernels.timed("paths", "python"):
+            with kernels.timed("assign", "python"):
                 pass
 
     def test_corpus_run_populates_kernel_timings(self):

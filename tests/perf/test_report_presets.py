@@ -86,6 +86,22 @@ class TestRunPerfReportPresets:
         assert [p["value"] for p in d["points"]] == [10]
         assert d["count"] == 1
 
+    def test_parallel_record_tallies_worker_kernel_calls(self):
+        # Pool workers dispatch every kernel call of a --jobs 2 run; the
+        # calls reach the parent only through the merged metrics, so the
+        # record's backend tally must be read from there.
+        report = run_perf_report(count=4, jobs=2, values=(10,))
+        d = report.data
+        counters = d["metrics"]["counters"]
+        calls = d["backend"]["calls"]
+        assert calls
+        assert calls == {
+            key: n
+            for key, n in counters.items()
+            if key.startswith("kernels.calls.")
+        }
+        assert "kernel calls numpy 0 python 0" not in report.render()
+
     def test_default_count_comes_from_preset_table(self):
         # Structural only (no run): the CLI passes count=None through.
         assert PRESET_COUNTS["default"] == 25
