@@ -20,48 +20,66 @@ Quickstart::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+The names below, and every subpackage's, load on first access
+(:mod:`repro._lazy`): ``import repro`` imports no submodule, and a run
+loads only the modules it uses.
 """
 
-from repro.timing import Interval, ZERO
-from repro.ir import (
-    BasicBlock,
-    DEFAULT_TIMING,
-    InstructionDAG,
-    Opcode,
-    TimingModel,
-    TupleProgram,
-    compile_block,
-    compile_source,
-    generate_tuples,
-    interpret,
-    optimize,
-    parse_block,
-)
-from repro.synth import BenchmarkCase, GeneratorConfig, generate_block, generate_corpus
-from repro.core import (
-    Schedule,
-    ScheduleResult,
-    SchedulerConfig,
-    SyncCounts,
-    schedule_dag,
-)
-from repro.barriers import Barrier, BarrierDag, BarrierMask, DominatorTree
-from repro.machine import (
-    DBMSimulator,
-    ExecutionTrace,
-    MachineProgram,
-    SBMSimulator,
-    UniformSampler,
-    VLIWSchedule,
-    simulate_conventional_mimd,
-    simulate_dbm,
-    simulate_sbm,
-    vliw_schedule,
-)
-from repro.metrics import SyncFractions, aggregate_results, fractions_of
-from repro.analysis import analyze_schedule
-from repro.io import load_program, program_from_json, program_to_json, save_program
-from repro.viz import render_barrier_dag, render_embedding, render_gantt
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "Interval": "repro.timing",
+    "ZERO": "repro.timing",
+    "BasicBlock": "repro.ir.ast",
+    "DEFAULT_TIMING": "repro.ir.ops",
+    "InstructionDAG": "repro.ir.dag",
+    "Opcode": "repro.ir.ops",
+    "TimingModel": "repro.ir.ops",
+    "TupleProgram": "repro.ir.tuples",
+    "compile_block": "repro.ir",
+    "compile_source": "repro.ir",
+    "generate_tuples": "repro.ir.codegen",
+    "interpret": "repro.ir.interp",
+    "optimize": "repro.ir.optimizer",
+    "parse_block": "repro.ir.parser",
+    "BenchmarkCase": "repro.synth.corpus",
+    "GeneratorConfig": "repro.synth.generator",
+    "generate_block": "repro.synth.generator",
+    "generate_corpus": "repro.synth.corpus",
+    "Schedule": "repro.core.schedule",
+    "ScheduleResult": "repro.core.scheduler",
+    "SchedulerConfig": "repro.core.scheduler",
+    "SyncCounts": "repro.core.scheduler",
+    "schedule_dag": "repro.core.scheduler",
+    "Barrier": "repro.barriers.model",
+    "BarrierDag": "repro.barriers.dag",
+    "BarrierMask": "repro.barriers.mask",
+    "DominatorTree": "repro.barriers.dominators",
+    "DBMSimulator": "repro.machine.dbm",
+    "ExecutionTrace": "repro.machine.trace",
+    "MachineProgram": "repro.machine.program",
+    "SBMSimulator": "repro.machine.sbm",
+    "UniformSampler": "repro.machine.durations",
+    "VLIWSchedule": "repro.machine.vliw",
+    "simulate_conventional_mimd": "repro.machine.mimd",
+    "simulate_dbm": "repro.machine.dbm",
+    "simulate_sbm": "repro.machine.sbm",
+    "vliw_schedule": "repro.machine.vliw",
+    "SyncFractions": "repro.metrics.fractions",
+    "aggregate_results": "repro.metrics.stats",
+    "fractions_of": "repro.metrics.fractions",
+    "analyze_schedule": "repro.analysis.report",
+    "load_program": "repro.io",
+    "program_from_json": "repro.io",
+    "program_to_json": "repro.io",
+    "save_program": "repro.io",
+    "render_barrier_dag": "repro.viz.embedding",
+    "render_embedding": "repro.viz.embedding",
+    "render_gantt": "repro.viz.gantt",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.scheduler import ScheduleResult
 from repro.metrics.fractions import SyncFractions, fractions_of
 from repro.timing import Interval
@@ -106,7 +104,7 @@ def analyze_schedule(result: ScheduleResult) -> ScheduleReport:
     widths = tuple(b.width for b in barrier_list)
     barriers = BarrierStats(
         count=len(barrier_list),
-        mean_width=float(np.mean(widths)) if widths else 0.0,
+        mean_width=sum(widths) / len(widths) if widths else 0.0,
         max_width=max(widths, default=0),
         widths=widths,
         fire_windows=tuple(fire[b.id] for b in barrier_list),

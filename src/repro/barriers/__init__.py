@@ -8,16 +8,21 @@ dominating barrier, and the k-longest-path overlap analysis of the
 "optimal" insertion algorithm -- lives here.
 """
 
-from repro.barriers.model import Barrier
-from repro.barriers.dag import BarrierDag, BarrierEdge
-from repro.barriers.dominators import DominatorTree
-from repro.barriers.mask import BarrierMask
-from repro.barriers.paths import (
-    PathExplosionError,
-    all_paths,
-    k_longest_max_paths,
-    longest_min_path_with_forced_max,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "Barrier": "repro.barriers.model",
+    "BarrierDag": "repro.barriers.dag",
+    "BarrierEdge": "repro.barriers.dag",
+    "DominatorTree": "repro.barriers.dominators",
+    "BarrierMask": "repro.barriers.mask",
+    "PathExplosionError": "repro.barriers.paths",
+    "all_paths": "repro.barriers.paths",
+    "k_longest_max_paths": "repro.barriers.paths",
+    "longest_min_path_with_forced_max": "repro.barriers.paths",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Barrier",

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.barriers.model import Barrier
 from repro.obs.metrics import current_registry
 from repro.obs.spans import span
 from repro.timing import Interval, ZERO
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BarrierEdge", "BarrierDag"]
 
@@ -483,6 +484,8 @@ class BarrierDag:
     # -- interoperability -----------------------------------------------------------
 
     def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx  # local: the block path never loads networkx
+
         graph = nx.DiGraph()
         for bid in self._topo:
             graph.add_node(bid, barrier=self._barriers[bid])

@@ -59,6 +59,10 @@ down.  See docs/observability.md.
 
 Bad inputs (missing files, malformed source, out-of-range parameters)
 exit with status 2 and a one-line diagnostic, never a traceback.
+
+Each handler imports the modules its subcommand uses, so a command
+loads only what it runs: ``schedule``, ``simulate`` and ``explain`` need
+neither numpy nor networkx.
 """
 
 from __future__ import annotations
@@ -68,75 +72,52 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
-from repro.experiments import (
-    ablation_lookahead,
-    barrier_cost_experiment,
-    flow_overhead_experiment,
-    hybrid_experiment,
-    kernel_suite_experiment,
-    robustness_experiment,
-    sync_elimination_experiment,
-    ablation_ordering,
-    ablation_round_robin,
-    ablation_timing_variation,
-    figure14_scatter,
-    figure15_statements,
-    figure16_variables,
-    figure17_processors,
-    figure18_vliw,
-    merging_experiment,
-    optimal_vs_conservative,
-    overall_ranges,
-    secondary_effect,
-    table1_instruction_mix,
-)
-from repro.ir import compile_source, generate_tuples, optimize, parse_block
-from repro.ir.dag import InstructionDAG
-from repro.machine.durations import BimodalSampler, MaxSampler, MinSampler, UniformSampler
-from repro.machine.program import MachineProgram
-from repro.machine.dbm import simulate_dbm
-from repro.machine.sbm import simulate_sbm
 from repro.obs.logging import configure as _configure_logging, get_logger
-from repro.perf.report import DEFAULT_TRAJECTORY
-from repro.perf.timers import stage
-from repro.synth.generator import GeneratorConfig, generate_block
-from repro.viz import render_barrier_dag, render_embedding, render_gantt
+from repro.perf import DEFAULT_TRAJECTORY
 
 __all__ = ["main"]
 
 _LOG = get_logger("cli")
 
+#: ``experiment NAME`` -> a call of its function in :mod:`repro.experiments`
+#: (``ex``), which loads the one module that defines it.
 _EXPERIMENTS = {
-    "table1": lambda args: table1_instruction_mix(),
-    "fig14": lambda args: figure14_scatter(count=args.count),
-    "fig15": lambda args: figure15_statements(count=args.count),
-    "fig16": lambda args: figure16_variables(count=args.count),
-    "fig17": lambda args: figure17_processors(count=args.count),
-    "fig18": lambda args: figure18_vliw(count=args.count),
-    "ranges": lambda args: overall_ranges(count_per_point=max(4, args.count // 4)),
-    "merging": lambda args: merging_experiment(count=args.count),
-    "roundrobin": lambda args: ablation_round_robin(count=args.count),
-    "ordering": lambda args: ablation_ordering(count=args.count),
-    "lookahead": lambda args: ablation_lookahead(count=args.count),
-    "timing": lambda args: ablation_timing_variation(count=args.count),
-    "secondary": lambda args: secondary_effect(count=args.count),
-    "optimal": lambda args: optimal_vs_conservative(count=args.count),
-    "barriercost": lambda args: barrier_cost_experiment(count=args.count),
-    "flowoverhead": lambda args: flow_overhead_experiment(count=args.count),
-    "kernels": lambda args: kernel_suite_experiment(synthetic_count=args.count),
-    "syncelim": lambda args: sync_elimination_experiment(count=args.count),
-    "robustness": lambda args: robustness_experiment(count=max(4, args.count // 4)),
-    "hybrid": lambda args: hybrid_experiment(
+    "table1": lambda ex, args: ex.table1_instruction_mix(),
+    "fig14": lambda ex, args: ex.figure14_scatter(count=args.count),
+    "fig15": lambda ex, args: ex.figure15_statements(count=args.count),
+    "fig16": lambda ex, args: ex.figure16_variables(count=args.count),
+    "fig17": lambda ex, args: ex.figure17_processors(count=args.count),
+    "fig18": lambda ex, args: ex.figure18_vliw(count=args.count),
+    "ranges": lambda ex, args: ex.overall_ranges(
+        count_per_point=max(4, args.count // 4)
+    ),
+    "merging": lambda ex, args: ex.merging_experiment(count=args.count),
+    "roundrobin": lambda ex, args: ex.ablation_round_robin(count=args.count),
+    "ordering": lambda ex, args: ex.ablation_ordering(count=args.count),
+    "lookahead": lambda ex, args: ex.ablation_lookahead(count=args.count),
+    "timing": lambda ex, args: ex.ablation_timing_variation(count=args.count),
+    "secondary": lambda ex, args: ex.secondary_effect(count=args.count),
+    "optimal": lambda ex, args: ex.optimal_vs_conservative(count=args.count),
+    "barriercost": lambda ex, args: ex.barrier_cost_experiment(count=args.count),
+    "flowoverhead": lambda ex, args: ex.flow_overhead_experiment(count=args.count),
+    "kernels": lambda ex, args: ex.kernel_suite_experiment(
+        synthetic_count=args.count
+    ),
+    "syncelim": lambda ex, args: ex.sync_elimination_experiment(count=args.count),
+    "robustness": lambda ex, args: ex.robustness_experiment(
+        count=max(4, args.count // 4)
+    ),
+    "hybrid": lambda ex, args: ex.hybrid_experiment(
         count=max(4, args.count // 4), jobs=None
     ),
 }
 
+#: ``simulate --sampler`` choice -> its class in :mod:`repro.machine.durations`.
 _SAMPLERS = {
-    "uniform": UniformSampler,
-    "min": MinSampler,
-    "max": MaxSampler,
-    "bimodal": BimodalSampler,
+    "uniform": "UniformSampler",
+    "min": "MinSampler",
+    "max": "MaxSampler",
+    "bimodal": "BimodalSampler",
 }
 
 
@@ -560,6 +541,8 @@ def _read_source(path: str | None) -> str:
 
 
 def _cmd_generate(args) -> int:
+    from repro.synth.generator import GeneratorConfig, generate_block
+
     config = GeneratorConfig(
         n_statements=args.statements,
         n_variables=args.variables,
@@ -571,6 +554,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from repro.ir import generate_tuples, optimize, parse_block
+    from repro.ir.dag import InstructionDAG
+
     block = parse_block(_read_source(args.source))
     program = generate_tuples(block)
     print("== raw tuples ==")
@@ -590,6 +576,10 @@ def _cmd_compile(args) -> int:
 
 
 def _schedule_from_args(args):
+    from repro.core.scheduler import SchedulerConfig, schedule_dag
+    from repro.ir import compile_source
+    from repro.perf.timers import stage
+
     # Stage wraps so a --trace of schedule/simulate covers the full
     # pipeline, not just the stages schedule_dag opens internally.
     with stage("generate"):
@@ -644,6 +634,7 @@ def _write_record(args, result, recorder, trace=None, analysis=None) -> None:
 
 def _cmd_schedule(args) -> int:
     from repro.analysis import analyze_schedule
+    from repro.viz import render_barrier_dag, render_embedding
 
     with _provenance_scope(args) as recorder:
         _, result = _schedule_from_args(args)
@@ -665,14 +656,16 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    from repro.core.scheduler import SchedulerConfig
     from repro.flow import execute_flow_schedule, parse_program, schedule_program
+    from repro.ir.interp import UndefinedVariableError
 
     program = parse_program(_read_source(args.source))
     env: dict[str, int] = {}
     for binding in args.input:
         name, _, value = binding.partition("=")
         if not name or not value.lstrip("-").isdigit():
-            raise SystemExit(f"bad --input {binding!r}; expected VAR=INT")
+            raise ValueError(f"bad --input {binding!r}; expected VAR=INT")
         env[name.strip()] = int(value)
     config = SchedulerConfig(n_pes=args.pes, machine=args.machine, seed=args.seed)
     flow = schedule_program(program, config)
@@ -680,7 +673,13 @@ def _cmd_flow(args) -> int:
     print()
     print(flow.describe())
     for run in range(args.runs):
-        trace = execute_flow_schedule(flow, env, rng=args.seed + run)
+        try:
+            trace = execute_flow_schedule(flow, env, rng=args.seed + run)
+        except UndefinedVariableError as exc:
+            raise ValueError(
+                f"variable {exc.args[0]!r} is read before it is assigned; "
+                "bind it with --input VAR=INT"
+            ) from None
         bound = flow.static_path_bound(trace.block_sequence)
         print(f"\nrun {run}: {trace.describe()}")
         print(f"  path bound {bound}; final state:")
@@ -690,14 +689,19 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.machine import durations
+    from repro.machine.dbm import simulate_dbm
+    from repro.machine.program import MachineProgram
+    from repro.machine.sbm import simulate_sbm
     from repro.obs.runtime import analyze_trace
+    from repro.viz import render_gantt
 
     with _provenance_scope(args) as recorder:
         _, result = _schedule_from_args(args)
     guards = result.hybrid.guards if result.hybrid is not None else None
     program = MachineProgram.from_schedule(result.schedule, guards=guards)
     sim = simulate_sbm if args.machine == "sbm" else simulate_dbm
-    sampler = _SAMPLERS[args.sampler]()
+    sampler = getattr(durations, _SAMPLERS[args.sampler])()
     first: tuple | None = None  # (trace, analysis) of run 0
     for run in range(args.runs):
         trace = sim(program, sampler, rng=args.sim_seed + run)
@@ -747,6 +751,9 @@ def _cmd_explain(args) -> int:
     report = explain_result(result, recorder)
     analysis = None
     if args.runtime:
+        from repro.machine.dbm import simulate_dbm
+        from repro.machine.program import MachineProgram
+        from repro.machine.sbm import simulate_sbm
         from repro.obs.runtime import analyze_trace
 
         program = MachineProgram.from_schedule(result.schedule)
@@ -808,6 +815,8 @@ def _faults_source(args) -> str:
                 return text
     except OSError:  # stdin closed or unreadable: fall back to generation
         pass
+    from repro.synth.generator import GeneratorConfig, generate_block
+
     config = GeneratorConfig(n_statements=args.statements)
     return generate_block(config, args.seed).source()
 
@@ -842,12 +851,14 @@ def _parse_spike_windows(specs: list[str]) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_faults(args) -> int:
+    from repro.core.scheduler import SchedulerConfig, schedule_dag
     from repro.faults import (
         FaultPlan,
         harden_schedule,
         robustness_margin,
         run_campaign,
     )
+    from repro.ir import compile_source
 
     dag = compile_source(_faults_source(args), run_optimizer=not args.no_optimize)
     config = SchedulerConfig(
@@ -947,6 +958,8 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from repro.core.scheduler import SchedulerConfig, schedule_dag
+    from repro.ir import compile_source
     from repro.viz.dot import barrier_dag_to_dot, instruction_dag_to_dot
 
     dag = compile_source(_read_source(args.source))
@@ -959,8 +972,10 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_archive(args) -> int:
+    from repro.core.scheduler import SchedulerConfig
     from repro.experiments.archive import archive_corpus, stats_from_archive
     from repro.experiments.sweeps import ExperimentPoint
+    from repro.synth.generator import GeneratorConfig
 
     point = ExperimentPoint(
         generator=GeneratorConfig(
@@ -1007,8 +1022,10 @@ def _perf_env(args, cache: bool | None = None):
 
 
 def _cmd_experiment(args) -> int:
+    from repro import experiments
+
     with _perf_env(args, cache=not args.no_cache):
-        result = _EXPERIMENTS[args.name](args)
+        result = _EXPERIMENTS[args.name](experiments, args)
     print(result.render())
     return 0
 

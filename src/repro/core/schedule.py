@@ -68,7 +68,7 @@ from repro.barriers.dominators import DominatorTree
 from repro.barriers.model import Barrier
 from repro.obs.metrics import current_registry
 from repro.timing import Interval, ZERO, interval_max
-from repro.ir.dag import InstructionDAG, NodeId
+from repro.ir.dag import ENTRY, EXIT, InstructionDAG, NodeId
 
 __all__ = ["Item", "Schedule"]
 
@@ -352,8 +352,6 @@ class Schedule:
     def append_instruction(self, pe: int, node: NodeId) -> None:
         if node in self._processor_of:
             raise ValueError(f"node {node!r} already scheduled")
-        from repro.ir.dag import ENTRY, EXIT  # local import avoids a cycle
-
         if node == ENTRY or node == EXIT:
             raise ValueError("dummy nodes are never scheduled")
         if node not in self.dag:

@@ -33,39 +33,42 @@ E20    Extension: static vs hardened vs hybrid study       :func:`hybrid_experim
 =====  ==================================================  ==========================
 """
 
-from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point, sweep
-from repro.experiments.figures import (
-    figure14_scatter,
-    figure15_statements,
-    figure16_variables,
-    figure17_processors,
-    figure18_vliw,
-)
-from repro.experiments.archive import archive_corpus, load_archive, stats_from_archive
-from repro.experiments.flow_exp import flow_overhead_experiment
-from repro.experiments.kernels_exp import kernel_suite_experiment
-from repro.experiments.hybrid_exp import (
-    HybridPoint,
-    HybridResult,
-    hybrid_experiment,
-)
-from repro.experiments.robustness_exp import (
-    RobustnessResult,
-    robustness_experiment,
-)
-from repro.experiments.syncelim_exp import sync_elimination_experiment
-from repro.experiments.tables import (
-    ablation_lookahead,
-    barrier_cost_experiment,
-    ablation_ordering,
-    ablation_round_robin,
-    ablation_timing_variation,
-    merging_experiment,
-    optimal_vs_conservative,
-    overall_ranges,
-    secondary_effect,
-    table1_instruction_mix,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "ExperimentPoint": "repro.experiments.sweeps",
+    "run_corpus": "repro.experiments.sweeps",
+    "run_point": "repro.experiments.sweeps",
+    "sweep": "repro.experiments.sweeps",
+    "figure14_scatter": "repro.experiments.figures",
+    "figure15_statements": "repro.experiments.figures",
+    "figure16_variables": "repro.experiments.figures",
+    "figure17_processors": "repro.experiments.figures",
+    "figure18_vliw": "repro.experiments.figures",
+    "table1_instruction_mix": "repro.experiments.tables",
+    "overall_ranges": "repro.experiments.tables",
+    "merging_experiment": "repro.experiments.tables",
+    "ablation_round_robin": "repro.experiments.tables",
+    "ablation_ordering": "repro.experiments.tables",
+    "ablation_lookahead": "repro.experiments.tables",
+    "ablation_timing_variation": "repro.experiments.tables",
+    "secondary_effect": "repro.experiments.tables",
+    "optimal_vs_conservative": "repro.experiments.tables",
+    "barrier_cost_experiment": "repro.experiments.tables",
+    "flow_overhead_experiment": "repro.experiments.flow_exp",
+    "kernel_suite_experiment": "repro.experiments.kernels_exp",
+    "archive_corpus": "repro.experiments.archive",
+    "load_archive": "repro.experiments.archive",
+    "stats_from_archive": "repro.experiments.archive",
+    "sync_elimination_experiment": "repro.experiments.syncelim_exp",
+    "RobustnessResult": "repro.experiments.robustness_exp",
+    "robustness_experiment": "repro.experiments.robustness_exp",
+    "HybridPoint": "repro.experiments.hybrid_exp",
+    "HybridResult": "repro.experiments.hybrid_exp",
+    "hybrid_experiment": "repro.experiments.hybrid_exp",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ExperimentPoint",

@@ -21,20 +21,26 @@ hardware violates those intervals?
     (:func:`harden_schedule`).
 """
 
-from repro.faults.model import (
-    FaultPlan,
-    FaultySampler,
-    FaultyController,
-    inflate_dag,
-)
-from repro.faults.margin import EdgeMargin, MarginReport, robustness_margin
-from repro.faults.campaign import (
-    EdgeBlame,
-    CampaignReport,
-    campaign_digest,
-    run_campaign,
-)
-from repro.faults.harden import HardeningReport, harden_schedule, straggler_nodes
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "FaultPlan": "repro.faults.model",
+    "FaultySampler": "repro.faults.model",
+    "FaultyController": "repro.faults.model",
+    "inflate_dag": "repro.faults.model",
+    "EdgeMargin": "repro.faults.margin",
+    "MarginReport": "repro.faults.margin",
+    "robustness_margin": "repro.faults.margin",
+    "EdgeBlame": "repro.faults.campaign",
+    "CampaignReport": "repro.faults.campaign",
+    "campaign_digest": "repro.faults.campaign",
+    "run_campaign": "repro.faults.campaign",
+    "HardeningReport": "repro.faults.harden",
+    "harden_schedule": "repro.faults.harden",
+    "straggler_nodes": "repro.faults.harden",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FaultPlan",

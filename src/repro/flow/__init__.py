@@ -25,12 +25,24 @@ Everything here is an extension beyond the 1990 paper and is marked as
 such in DESIGN.md; the core reproduction does not depend on it.
 """
 
-from repro.flow.ast import FlowProgram, IfStmt, WhileStmt
-from repro.flow.parser import parse_program
-from repro.flow.cfg import CFG, BasicBlockNode, build_cfg
-from repro.flow.interp import run_program
-from repro.flow.schedule import FlowSchedule, schedule_program
-from repro.flow.executor import FlowTrace, execute_flow_schedule
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "FlowProgram": "repro.flow.ast",
+    "IfStmt": "repro.flow.ast",
+    "WhileStmt": "repro.flow.ast",
+    "parse_program": "repro.flow.parser",
+    "CFG": "repro.flow.cfg",
+    "BasicBlockNode": "repro.flow.cfg",
+    "build_cfg": "repro.flow.cfg",
+    "run_program": "repro.flow.interp",
+    "FlowSchedule": "repro.flow.schedule",
+    "schedule_program": "repro.flow.schedule",
+    "FlowTrace": "repro.flow.executor",
+    "execute_flow_schedule": "repro.flow.executor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FlowProgram",

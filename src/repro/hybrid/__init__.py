@@ -8,13 +8,17 @@ barriers natively while the engine resolves guards under a
 timeout/bounded-retry watchdog (:class:`~repro.machine.engine.GuardPolicy`).
 """
 
-from repro.hybrid.controller import HybridController
-from repro.hybrid.plan import (
-    EdgeDemotion,
-    HybridPlan,
-    hybrid_program,
-    hybridize_schedule,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "EdgeDemotion": "repro.hybrid.plan",
+    "HybridController": "repro.hybrid.controller",
+    "HybridPlan": "repro.hybrid.plan",
+    "hybrid_program": "repro.hybrid.plan",
+    "hybridize_schedule": "repro.hybrid.plan",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EdgeDemotion",

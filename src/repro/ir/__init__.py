@@ -9,20 +9,46 @@ instruction DAG (:mod:`repro.ir.dag`) consumed by the scheduler in
 :mod:`repro.core`.
 """
 
-from repro.ir.ops import (
-    ALU_OPCODES,
-    DEFAULT_TIMING,
-    OP_FREQUENCIES,
-    Opcode,
-    TimingModel,
-)
-from repro.ir.ast import Assign, BasicBlock, BinOp, Const, Expr, Var, apply_op
-from repro.ir.parser import ParseError, parse_block, parse_expr
-from repro.ir.tuples import Imm, IRTuple, Operand, Ref, TupleProgram
-from repro.ir.codegen import generate_tuples
-from repro.ir.optimizer import optimize
-from repro.ir.interp import interpret
-from repro.ir.dag import ENTRY, EXIT, CycleError, InstructionDAG
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+from repro.ir.ops import DEFAULT_TIMING, TimingModel
+
+if TYPE_CHECKING:
+    from repro.ir.ast import BasicBlock
+    from repro.ir.dag import InstructionDAG
+
+_EXPORTS = {
+    "ALU_OPCODES": "repro.ir.ops",
+    "OP_FREQUENCIES": "repro.ir.ops",
+    "Opcode": "repro.ir.ops",
+    "Assign": "repro.ir.ast",
+    "BasicBlock": "repro.ir.ast",
+    "BinOp": "repro.ir.ast",
+    "Const": "repro.ir.ast",
+    "Expr": "repro.ir.ast",
+    "Var": "repro.ir.ast",
+    "apply_op": "repro.ir.ast",
+    "ParseError": "repro.ir.parser",
+    "parse_block": "repro.ir.parser",
+    "parse_expr": "repro.ir.parser",
+    "Imm": "repro.ir.tuples",
+    "IRTuple": "repro.ir.tuples",
+    "Operand": "repro.ir.tuples",
+    "Ref": "repro.ir.tuples",
+    "TupleProgram": "repro.ir.tuples",
+    "generate_tuples": "repro.ir.codegen",
+    "optimize": "repro.ir.optimizer",
+    "interpret": "repro.ir.interp",
+    "ENTRY": "repro.ir.dag",
+    "EXIT": "repro.ir.dag",
+    "CycleError": "repro.ir.dag",
+    "InstructionDAG": "repro.ir.dag",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ALU_OPCODES",
@@ -63,6 +89,10 @@ def compile_block(
     run_optimizer: bool = True,
 ) -> InstructionDAG:
     """One-call front end: AST block -> optimized tuples -> instruction DAG."""
+    from repro.ir.codegen import generate_tuples
+    from repro.ir.dag import InstructionDAG
+    from repro.ir.optimizer import optimize
+
     program = generate_tuples(block)
     if run_optimizer:
         program = optimize(program)
@@ -75,4 +105,6 @@ def compile_source(
     run_optimizer: bool = True,
 ) -> InstructionDAG:
     """Compile mini-language source text straight to an instruction DAG."""
+    from repro.ir.parser import parse_block
+
     return compile_block(parse_block(source), timing, run_optimizer)

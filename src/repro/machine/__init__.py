@@ -19,21 +19,35 @@ random draws and asserting every producer finishes before its consumers
 start is the system-level soundness oracle used by the test suite.
 """
 
-from repro.machine.durations import (
-    BimodalSampler,
-    DurationSampler,
-    FixedSampler,
-    MaxSampler,
-    MinSampler,
-    UniformSampler,
-)
-from repro.machine.program import BarrierRef, MachineOp, MachineProgram
-from repro.machine.trace import DeadlockError, ExecutionTrace, OrderViolation
-from repro.machine.sbm import SBMSimulator, simulate_sbm
-from repro.machine.dbm import DBMSimulator, simulate_dbm
-from repro.machine.vliw import VLIWSchedule, vliw_schedule
-from repro.machine.mimd import ConventionalMIMDResult, simulate_conventional_mimd
-from repro.machine.rtl import ClockedDBM, ClockedSBM, run_clocked
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "BimodalSampler": "repro.machine.durations",
+    "DurationSampler": "repro.machine.durations",
+    "FixedSampler": "repro.machine.durations",
+    "MaxSampler": "repro.machine.durations",
+    "MinSampler": "repro.machine.durations",
+    "UniformSampler": "repro.machine.durations",
+    "BarrierRef": "repro.machine.program",
+    "MachineOp": "repro.machine.program",
+    "MachineProgram": "repro.machine.program",
+    "DeadlockError": "repro.machine.trace",
+    "ExecutionTrace": "repro.machine.trace",
+    "OrderViolation": "repro.machine.trace",
+    "SBMSimulator": "repro.machine.sbm",
+    "simulate_sbm": "repro.machine.sbm",
+    "DBMSimulator": "repro.machine.dbm",
+    "simulate_dbm": "repro.machine.dbm",
+    "VLIWSchedule": "repro.machine.vliw",
+    "vliw_schedule": "repro.machine.vliw",
+    "ConventionalMIMDResult": "repro.machine.mimd",
+    "simulate_conventional_mimd": "repro.machine.mimd",
+    "ClockedDBM": "repro.machine.rtl",
+    "ClockedSBM": "repro.machine.rtl",
+    "run_clocked": "repro.machine.rtl",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BimodalSampler",

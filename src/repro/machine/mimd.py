@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.schedule import Schedule
 from repro.machine.durations import DurationSampler, UniformSampler
 from repro.ir.dag import InstructionDAG, NodeId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ConventionalMIMDResult", "directed_sync_counts", "simulate_conventional_mimd"]
 
@@ -54,6 +55,8 @@ def _combined_task_graph(
     dag: InstructionDAG, schedule: Schedule
 ) -> "nx.DiGraph":
     """DAG edges plus per-processor program-order chain edges."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(dag.real_nodes)
     graph.add_edges_from(dag.real_edges())
@@ -73,6 +76,8 @@ def directed_sync_counts(
     reduction of the combined task graph -- the graph-structural
     elimination of [Shaf89]/[Call87], which cannot exploit timing.
     """
+    import networkx as nx
+
     cross = [
         (g, i)
         for g, i in dag.real_edges()
@@ -96,6 +101,8 @@ def simulate_conventional_mimd(
     retained cross-processor producers additionally waits for each
     producer's finish plus ``sync_latency`` (flag transit time, the
     unbounded-delay hazard of figure 3 made concrete)."""
+    import networkx as nx
+
     sampler = sampler or UniformSampler()
     if rng is None or isinstance(rng, int):
         rng = random.Random(rng)

@@ -5,15 +5,15 @@ point; these helpers reduce a batch of
 :class:`~repro.core.scheduler.ScheduleResult` objects to the means (and
 dispersion) that back every figure in section 5.  numpy is used for the
 bulk reductions, per the HPC guides' advice to vectorize aggregation
-rather than instruction-level logic.
+rather than instruction-level logic.  It is imported inside the two
+functions that build arrays, so a run that schedules and simulates a
+block without aggregating a corpus never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.core.scheduler import ScheduleResult
 from repro.metrics.fractions import SyncFractions, fractions_of
@@ -38,6 +38,8 @@ class FractionAggregate:
 
     @staticmethod
     def of(values: Sequence[float]) -> "FractionAggregate":
+        import numpy as np
+
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return FractionAggregate(0.0, 0.0, 0.0, 0.0)
@@ -101,6 +103,8 @@ def aggregate_fractions(fractions: Iterable[SyncFractions]) -> tuple[
 
 def aggregate_results(results: Sequence[ScheduleResult]) -> CorpusStats:
     """Reduce a batch of schedules to one corpus-level statistics record."""
+    import numpy as np
+
     fr = [fractions_of(r) for r in results]
     barrier, serialized, static, no_rt = aggregate_fractions(fr)
     n = len(results)

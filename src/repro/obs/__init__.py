@@ -28,50 +28,46 @@ Everything exported here is stdlib-only so any pipeline module may
 import it without cycles; see docs/observability.md for the full tour.
 """
 
-from repro.obs.metrics import (
-    HistogramStat,
-    MetricsRegistry,
-    collect_metrics,
-    current_registry,
-    inc,
-    observe,
-)
-from repro.obs.prof import (
-    KernelStat,
-    Profiler,
-    collect_profile,
-    current_profiler,
-    folded_stacks,
-    track_gc,
-    write_folded,
-)
-from repro.obs.progress import (
-    JSONLSink,
-    ProgressMeter,
-    TTYStatusSink,
-    collect_progress,
-    current_meter,
-)
-from repro.obs.provenance import (
-    AssignmentDecision,
-    BarrierDecision,
-    MergeDecision,
-    ProvenanceRecorder,
-    collect_provenance,
-    current_recorder,
-    record_assignment,
-    record_barrier,
-    record_merge,
-)
-from repro.obs.spans import (
-    Span,
-    SpanTracer,
-    TraceEvent,
-    collect_trace,
-    current_tracer,
-    event,
-    span,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "HistogramStat": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "collect_metrics": "repro.obs.metrics",
+    "current_registry": "repro.obs.metrics",
+    "inc": "repro.obs.metrics",
+    "observe": "repro.obs.metrics",
+    "KernelStat": "repro.obs.prof",
+    "Profiler": "repro.obs.prof",
+    "collect_profile": "repro.obs.prof",
+    "current_profiler": "repro.obs.prof",
+    "folded_stacks": "repro.obs.prof",
+    "track_gc": "repro.obs.prof",
+    "write_folded": "repro.obs.prof",
+    "JSONLSink": "repro.obs.progress",
+    "ProgressMeter": "repro.obs.progress",
+    "TTYStatusSink": "repro.obs.progress",
+    "collect_progress": "repro.obs.progress",
+    "current_meter": "repro.obs.progress",
+    "AssignmentDecision": "repro.obs.provenance",
+    "BarrierDecision": "repro.obs.provenance",
+    "MergeDecision": "repro.obs.provenance",
+    "ProvenanceRecorder": "repro.obs.provenance",
+    "collect_provenance": "repro.obs.provenance",
+    "current_recorder": "repro.obs.provenance",
+    "record_assignment": "repro.obs.provenance",
+    "record_barrier": "repro.obs.provenance",
+    "record_merge": "repro.obs.provenance",
+    "Span": "repro.obs.spans",
+    "SpanTracer": "repro.obs.spans",
+    "TraceEvent": "repro.obs.spans",
+    "collect_trace": "repro.obs.spans",
+    "current_tracer": "repro.obs.spans",
+    "event": "repro.obs.spans",
+    "span": "repro.obs.spans",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "HistogramStat",

@@ -14,14 +14,20 @@ makes that affordable at full scale:
 * :mod:`repro.perf.report` -- the ``repro-sbm perf`` harness emitting
   ``BENCH_*.json`` trajectory records.
 
-Attributes are resolved lazily: the scheduler's hot path imports
-``repro.perf.timers`` directly, and an eager re-export here would close
-an import cycle through ``metrics.stats`` back into the scheduler.
+Attributes load on first access, like every package's: the scheduler's
+hot path imports ``repro.perf.timers`` directly and never pays for the
+corpus driver or the perf harness.
 
 See ``docs/performance.md`` for the operator-facing guide.
 """
 
-from typing import Any
+from pathlib import Path
+
+from repro._lazy import lazy_exports
+
+#: Where ``repro-sbm perf`` appends its trajectory series by default
+#: (relative to the working directory, i.e. the repo root in CI).
+DEFAULT_TRAJECTORY = Path("benchmarks") / "data" / "BENCH_trajectory.jsonl"
 
 _EXPORTS = {
     "StageTimings": "repro.perf.timers",
@@ -42,11 +48,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

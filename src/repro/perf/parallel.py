@@ -38,6 +38,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from repro import kernels
 from repro.core import batchrun
 from repro.core.scheduler import ScheduleResult, SchedulerConfig, SyncCounts
 from repro.io import result_summary
@@ -217,6 +218,9 @@ def chunk_runner(
     window = jobs * CHUNKS_IN_FLIGHT
     chunk = min(DEFAULT_BATCH, -(-point.count // window))
     ship = (current_tracer() is not None, obs_prof.current_profiler() is not None)
+    # Load numpy (when the backend uses it) before the fork, so the
+    # workers inherit it instead of each importing it.
+    kernels.resolved_backend()
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
 

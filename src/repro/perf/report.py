@@ -33,6 +33,7 @@ from repro.obs import progress as obs_progress
 from repro.obs.metrics import collect_metrics
 from repro.obs.prof import Profiler, collect_profile
 from repro.obs.runtime import analyze_trace
+from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.parallel import resolve_jobs, results_digest
 from repro.perf.timers import STAGES, collect_timings
 from repro.synth.generator import GeneratorConfig
@@ -51,10 +52,6 @@ __all__ = [
 _FORMAT = "repro.perf-report.v1"
 
 TRAJECTORY_FORMAT = "repro.perf-trajectory.v1"
-
-#: Where ``repro-sbm perf`` appends its trajectory series by default
-#: (relative to the working directory, i.e. the repo root in CI).
-DEFAULT_TRAJECTORY = Path("benchmarks") / "data" / "BENCH_trajectory.jsonl"
 
 #: The standard sweep axis and values of the perf workload.
 PERF_AXIS = "generator.n_statements"
@@ -292,6 +289,9 @@ def run_perf_report(
         master_seed=master_seed,
     )
 
+    # numpy loads on first use; resolving the backend loads it (when it
+    # serves) before the clock starts, so no stage pays for the import.
+    kernels.resolved_backend()
     start = time.perf_counter()
     swept: list[tuple[str, object, object]] = []  # (axis, value, stats)
     leg_walls: list[float] = []

@@ -5,9 +5,19 @@ instruction-mix frequencies of Table 1, plus a corpus driver that
 compiles each block through the :mod:`repro.ir` pipeline.
 """
 
-from repro.synth.generator import GeneratorConfig, generate_block
-from repro.synth.corpus import BenchmarkCase, generate_cases, generate_corpus
-from repro.synth.flowgen import FlowGeneratorConfig, generate_flow_program
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "GeneratorConfig": "repro.synth.generator",
+    "generate_block": "repro.synth.generator",
+    "BenchmarkCase": "repro.synth.corpus",
+    "generate_cases": "repro.synth.corpus",
+    "generate_corpus": "repro.synth.corpus",
+    "FlowGeneratorConfig": "repro.synth.flowgen",
+    "generate_flow_program": "repro.synth.flowgen",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "GeneratorConfig",

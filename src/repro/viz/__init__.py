@@ -7,9 +7,18 @@
 fire-time windows.
 """
 
-from repro.viz.embedding import render_embedding, render_barrier_dag
-from repro.viz.gantt import render_gantt
-from repro.viz.dot import barrier_dag_to_dot, cfg_to_dot, instruction_dag_to_dot
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "render_embedding": "repro.viz.embedding",
+    "render_barrier_dag": "repro.viz.embedding",
+    "render_gantt": "repro.viz.gantt",
+    "barrier_dag_to_dot": "repro.viz.dot",
+    "cfg_to_dot": "repro.viz.dot",
+    "instruction_dag_to_dot": "repro.viz.dot",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "render_embedding",

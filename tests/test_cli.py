@@ -106,11 +106,22 @@ class TestFlow:
         out = capsys.readouterr().out
         assert "s = 10" in out and "run 1" in out and "path bound" in out
 
-    def test_flow_bad_input_binding(self, tmp_path):
+    def test_flow_bad_input_binding(self, capsys, tmp_path):
         path = tmp_path / "prog.src"
         path.write_text("a = 1 + 1")
-        with pytest.raises(SystemExit):
-            main(["flow", str(path), "-i", "oops"])
+        assert main(["flow", str(path), "-i", "oops"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sbm: error:") and "'oops'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_flow_unbound_variable(self, capsys, tmp_path):
+        path = tmp_path / "prog.src"
+        path.write_text("a = b + c")
+        assert main(["flow", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sbm: error:")
+        assert "'b'" in err and "--input VAR=INT" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_flow_negative_input(self, capsys, tmp_path):
         path = tmp_path / "prog.src"
