@@ -40,8 +40,8 @@ BENCH_COUNT = int(os.environ.get("REPRO_BENCH_COUNT", "50"))
 if BENCH_COUNT >= 100:
     os.environ.setdefault("REPRO_JOBS", "0")  # 0 = all cores
 
-#: Validate and pin the kernel backend for the whole session (workers
-#: re-pin from the shipped payload; see repro.perf.parallel).
+#: Validate and pin the kernel backend for the whole session (forked
+#: corpus workers inherit the environment; see repro.perf.parallel).
 os.environ["REPRO_BACKEND"] = kernels.backend_setting()
 
 

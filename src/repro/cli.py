@@ -331,11 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
     exp.add_argument("--count", type=int, default=50, help="benchmarks per point")
     _add_perf_args(exp)
-    exp.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every point instead of reusing the on-disk sweep cache",
-    )
     _add_profile_arg(exp)
 
     perf = sub.add_parser(
@@ -669,17 +664,22 @@ def _cmd_flow(args) -> int:
         env[name.strip()] = int(value)
     config = SchedulerConfig(n_pes=args.pes, machine=args.machine, seed=args.seed)
     flow = schedule_program(program, config)
+    # Every run executes before anything prints, so a failing run
+    # leaves stdout empty instead of holding a partial report.
+    try:
+        traces = [
+            execute_flow_schedule(flow, env, rng=args.seed + run)
+            for run in range(args.runs)
+        ]
+    except UndefinedVariableError as exc:
+        raise ValueError(
+            f"variable {exc.args[0]!r} is read before it is assigned; "
+            "bind it with --input VAR=INT"
+        ) from None
     print(flow.cfg.render())
     print()
     print(flow.describe())
-    for run in range(args.runs):
-        try:
-            trace = execute_flow_schedule(flow, env, rng=args.seed + run)
-        except UndefinedVariableError as exc:
-            raise ValueError(
-                f"variable {exc.args[0]!r} is read before it is assigned; "
-                "bind it with --input VAR=INT"
-            ) from None
+    for run, trace in enumerate(traces):
         bound = flow.static_path_bound(trace.block_sequence)
         print(f"\nrun {run}: {trace.describe()}")
         print(f"  path bound {bound}; final state:")
@@ -992,12 +992,11 @@ def _cmd_archive(args) -> int:
 
 
 @contextmanager
-def _perf_env(args, cache: bool | None = None):
-    """Scope the REPRO_JOBS / REPRO_BACKEND / REPRO_CACHE knobs to one
-    command.
+def _perf_env(args):
+    """Scope the REPRO_JOBS / REPRO_BACKEND knobs to one command.
 
     The experiment functions reach run_point/sweep several layers down;
-    the jobs/cache choices travel via the environment variables those
+    the jobs/backend choices travel via the environment variables those
     helpers already resolve.  Scoping (rather than plain assignment)
     keeps in-process callers of :func:`main` -- the test suite -- from
     leaking configuration between invocations.
@@ -1007,8 +1006,6 @@ def _perf_env(args, cache: bool | None = None):
         overrides["REPRO_JOBS"] = str(args.jobs)
     if getattr(args, "backend", None) is not None:
         overrides["REPRO_BACKEND"] = args.backend
-    if cache is not None:
-        overrides["REPRO_CACHE"] = "1" if cache else "0"
     saved = {key: os.environ.get(key) for key in overrides}
     os.environ.update(overrides)
     try:
@@ -1024,7 +1021,7 @@ def _perf_env(args, cache: bool | None = None):
 def _cmd_experiment(args) -> int:
     from repro import experiments
 
-    with _perf_env(args, cache=not args.no_cache):
+    with _perf_env(args):
         result = _EXPERIMENTS[args.name](experiments, args)
     print(result.render())
     return 0

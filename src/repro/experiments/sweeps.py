@@ -7,20 +7,15 @@ whole corpus for a point and reduces it to
 parameter axis.  Everything is deterministic in the master seed, matching
 the paper's method of averaging 100 generated benchmarks per point.
 
-Two performance controls ride on every entry point (see
-``docs/performance.md``):
-
-``jobs``
-    Worker-process count for the corpus (``None`` consults the
-    ``REPRO_JOBS`` environment variable, ``0`` means all cores).  The
-    parallel path is *bit-identical* to serial -- per-case seeds are
-    derived exactly as in the serial loop -- and falls back to serial
-    when ``jobs <= 1``, the platform lacks ``fork``, or the ``accept``
-    filter cannot cross process boundaries.
-``cache``
-    On-disk memoization of :func:`run_point` results, keyed by the full
-    point content and package version (``None`` consults ``REPRO_CACHE``;
-    default off).  Filtered points (``accept`` given) are never cached.
+Every entry point takes ``jobs``, the worker-process count for the
+corpus (``None`` consults the ``REPRO_JOBS`` environment variable, ``0``
+means all cores; see ``docs/performance.md``).  The parallel path is
+*bit-identical* to serial -- per-case seeds are derived exactly as in
+the serial loop -- and falls back to serial when ``jobs <= 1``, the
+platform lacks ``fork``, or the ``accept`` filter cannot cross process
+boundaries.  Every point is computed from its seed on each call: a
+rerun costs what the first run cost and always reflects the current
+code.
 """
 
 from __future__ import annotations
@@ -34,9 +29,7 @@ from repro.core.scheduler import ScheduleResult, SchedulerConfig
 from repro.ir.ops import DEFAULT_TIMING, TimingModel
 from repro.metrics.stats import CorpusStats, aggregate_results
 from repro.obs import progress as obs_progress
-from repro.perf.cache import load_point_stats, resolve_cache, store_point_stats
 from repro.perf.parallel import chunk_runner, resolve_jobs
-from repro.perf.timers import add_to_current, collect_timings
 from repro.synth.corpus import BenchmarkCase
 from repro.synth.generator import GeneratorConfig
 
@@ -128,34 +121,13 @@ def run_point(
     point: ExperimentPoint,
     accept: Callable[[BenchmarkCase], bool] | None = None,
     jobs: int | None = None,
-    cache: bool | None = None,
 ) -> CorpusStats:
     """:func:`run_corpus` reduced to corpus statistics.
 
-    The reduction carries the run's per-stage timings
-    (:attr:`CorpusStats.timings`).  With caching enabled, a previously
-    computed point is served from disk (accept-filtered points are
-    always recomputed -- a callable has no stable cache key).
+    Aggregation reads nothing a compact result lacks, so pool workers
+    may ship compact rows.
     """
-    use_cache = accept is None and resolve_cache(cache)
-    if use_cache:
-        cached = load_point_stats(point)
-        if cached is not None:
-            return cached
-    with collect_timings() as timings:
-        # Aggregation reads nothing a compact result lacks, so pool
-        # workers may ship compact rows.
-        stats = aggregate_results(
-            run_corpus(point, accept, jobs=jobs, compact=True)
-        )
-    # Collectors nest innermost-wins, so an enclosing measurement (e.g.
-    # the ``repro-sbm perf`` harness timing a whole sweep) would see none
-    # of this point's stage time -- credit it upward explicitly.
-    add_to_current(timings)
-    stats = replace(stats, timings=timings)
-    if use_cache:
-        store_point_stats(point, stats)
-    return stats
+    return aggregate_results(run_corpus(point, accept, jobs=jobs, compact=True))
 
 
 def sweep(
@@ -163,7 +135,6 @@ def sweep(
     axis: str,
     values: Iterable[object],
     jobs: int | None = None,
-    cache: bool | None = None,
 ) -> list[tuple[object, CorpusStats]]:
     """Vary one parameter along ``values`` and run each point.
 
@@ -173,7 +144,7 @@ def sweep(
     results: list[tuple[object, CorpusStats]] = []
     for value in values:
         results.append(
-            (value, run_point(_set_axis(base, axis, value), jobs=jobs, cache=cache))
+            (value, run_point(_set_axis(base, axis, value), jobs=jobs))
         )
     return results
 

@@ -6,7 +6,7 @@ The default latencies and the ALU-operation selection frequencies come
 straight from Table 1 of the paper (which in turn follows the XPL
 instruction-mix study of Alexander & Wortman, 1975).
 
-A :class:`TimingModel` maps opcodes to :class:`~repro.core.timing.Interval`
+A :class:`TimingModel` maps opcodes to :class:`~repro.timing.Interval`
 latencies and is a first-class parameter of the whole pipeline, because
 section 5 of the paper varies "the timing assigned to each instruction"
 as an architecture parameter (the timing-variation ablation, experiment

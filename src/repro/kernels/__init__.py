@@ -48,8 +48,7 @@ without numpy) never pays the import.
 from __future__ import annotations
 
 import os
-import time
-from typing import Any
+from typing import Any, ContextManager
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import prof as obs_prof
@@ -166,42 +165,7 @@ def count(kernel: str, backend: str) -> None:
         reg.inc(f"kernels.backend.{backend}")
 
 
-class _KernelTimer:
-    """Times one dispatched kernel call into the active profiler."""
-
-    __slots__ = ("_prof", "_key", "_wall0", "_cpu0")
-
-    def __init__(self, prof: "obs_prof.Profiler", key: str) -> None:
-        self._prof = prof
-        self._key = key
-
-    def __enter__(self) -> None:
-        self._cpu0 = time.process_time()
-        self._wall0 = time.perf_counter()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        wall = time.perf_counter() - self._wall0
-        self._prof.record_kernel(
-            self._key, wall, time.process_time() - self._cpu0
-        )
-        return False
-
-
-class _NoopTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-#: Shared no-op so the profiler-off path allocates nothing per call.
-_NOOP_TIMER = _NoopTimer()
-
-
-def timed(kernel: str, backend: str) -> "_KernelTimer | _NoopTimer":
+def timed(kernel: str, backend: str) -> ContextManager[None]:
     """Count one dispatch decision and time the block it guards.
 
     ``with kernels.timed("assign", "numpy"): ...`` is :func:`count` plus
@@ -214,8 +178,8 @@ def timed(kernel: str, backend: str) -> "_KernelTimer | _NoopTimer":
     count(kernel, backend)
     prof = obs_prof.current_profiler()
     if prof is None:
-        return _NOOP_TIMER
-    return _KernelTimer(prof, f"{kernel}.{backend}")
+        return obs_prof.UNTIMED
+    return obs_prof.Timer(prof.record_kernel, f"{kernel}.{backend}")
 
 
 def verify(kernel: str, got: Any, expected: Any) -> None:

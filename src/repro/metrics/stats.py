@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from repro.core.scheduler import ScheduleResult
 from repro.metrics.fractions import SyncFractions, fractions_of
-from repro.perf.timers import StageTimings
 
 __all__ = [
     "FractionAggregate",
@@ -72,20 +71,12 @@ class CorpusStats:
     total_repairs: int
     secondary_fraction: float
     per_benchmark: tuple[SyncFractions, ...] = ()
-    #: Per-stage wall-clock seconds for the run that produced these stats
-    #: (attached by :func:`repro.experiments.sweeps.run_point`; ``None``
-    #: when the caller did not collect timings).  Cache hits carry the
-    #: timings of the *original* computing run.
-    timings: StageTimings | None = None
 
     def render(self) -> str:
-        text = (
+        return (
             f"n={self.n_benchmarks:<4d} barrier {self.barrier.render()}  "
             f"serial {self.serialized.render()}  static {self.static.render()}"
         )
-        if self.timings is not None:
-            text += f"\n  timings: {self.timings.render()}"
-        return text
 
 
 def aggregate_fractions(fractions: Iterable[SyncFractions]) -> tuple[

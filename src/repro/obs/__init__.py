@@ -11,9 +11,9 @@ zero-cost when no subscriber is installed (and all hard-disabled by
 * :mod:`repro.obs.metrics` -- named counters and histograms, merged
   across the parallel driver's worker processes;
 * :mod:`repro.obs.prof` -- continuous profiling and resource
-  accounting: per-kernel wall/CPU timings at the dispatch boundary,
-  peak-RSS and tensor byte accounts, GC pauses, and folded-stack
-  (flamegraph) export from a span trace;
+  accounting: per-stage and per-kernel wall/CPU timings, peak-RSS and
+  tensor byte accounts, GC pauses, and folded-stack (flamegraph)
+  export from a span trace;
 * :mod:`repro.obs.progress` -- live heartbeat stream (cases/s, ETA)
   for long corpus runs, rendered as a TTY status line or JSONL;
 * :mod:`repro.obs.provenance` -- machine-readable reasons for every
@@ -21,6 +21,11 @@ zero-cost when no subscriber is installed (and all hard-disabled by
   ``repro-sbm explain`` (:mod:`repro.obs.explain` builds the report;
   imported directly, not from this package root, because it depends on
   ``repro.core``).
+
+A fork-pool worker of the corpus driver installs exactly the tracer,
+registry and profiler its parent has active and ships each back with
+its results (:mod:`repro.perf.parallel`); a corpus run under a
+provenance recorder stays in-process.
 
 :mod:`repro.obs.logging` holds the package's logger hierarchy.
 

@@ -2,19 +2,20 @@
 
 A :class:`MetricsRegistry` holds named monotonic **counters** (barriers
 inserted, merge verdicts by kind, incremental fast-path vs scratch
-rebuilds, path explosions, sweep-cache hits/misses, ...) and streaming
-**histograms** (count/total/min/max summaries of ready-list sizes,
-fire-cone sizes, engine release widths, ...).
+rebuilds, path explosions, ...) and streaming **histograms**
+(count/total/min/max summaries of ready-list sizes, fire-cone sizes,
+engine release widths, ...).
 
-The lifecycle mirrors :class:`repro.perf.timers.StageTimings`: a
-subscriber installs a registry with :func:`collect_metrics` for a
-dynamic extent; instrumentation points call the module-level
-:func:`inc` / :func:`observe` helpers, which are no-ops without a
-subscriber; and registries collected in the parallel driver's worker
-processes are shipped back as plain dicts and folded into the parent
-with :func:`add_to_current` / :meth:`MetricsRegistry.merge_from`.  The
-merge is associative and commutative, so the parent's totals do not
-depend on worker completion order.
+The lifecycle mirrors the span tracer and the profiler: a subscriber
+installs a registry with :func:`collect_metrics` for a dynamic extent;
+instrumentation points call the module-level :func:`inc` /
+:func:`observe` helpers, which are no-ops without a subscriber; and
+when the parent has a registry active, each worker of the parallel
+driver collects into its own and ships it back as a plain dict, folded
+into the parent with :func:`add_to_current` /
+:meth:`MetricsRegistry.merge_from`.  The merge is associative and
+commutative, so the parent's totals do not depend on worker completion
+order.
 
 Metric names are dotted lowercase paths (``merge.verdict.cached``,
 ``views.dag.evolved``); :mod:`docs/observability.md` tables every name
@@ -149,7 +150,7 @@ def current_registry() -> MetricsRegistry | None:
 @contextmanager
 def collect_metrics() -> Iterator[MetricsRegistry]:
     """Install a fresh registry for the dynamic extent of the block
-    (innermost-wins nesting, like ``collect_timings``)."""
+    (innermost-wins nesting, like ``collect_profile``)."""
     reg = MetricsRegistry()
     token = _registry.set(reg)
     try:
@@ -177,7 +178,7 @@ def add_to_current(data: "MetricsRegistry | Mapping") -> None:
     """Fold a shipped registry into the active one, if any.
 
     The parallel corpus driver calls this in the parent with each worker
-    chunk's metrics dict, exactly like ``timers.add_to_current``.
+    chunk's metrics dict, exactly like ``prof.add_to_current``.
     """
     reg = current_registry()
     if reg is not None:

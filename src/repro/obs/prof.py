@@ -2,12 +2,15 @@
 
 The metrics registry (:mod:`repro.obs.metrics`) counts *how often* each
 kernel backend ran; this module records *how long* and *how much
-memory*.  A :class:`Profiler` accumulates four resource families:
+memory*.  A :class:`Profiler` accumulates five resource families:
 
+* **stage timings** -- per pipeline stage (generate / schedule / insert
+  / merge / simulate) wall/CPU summaries, recorded by
+  :func:`repro.perf.timers.stage`; ``repro-sbm perf`` derives its
+  record's ``stages`` block from them;
 * **kernel timings** -- per ``<kernel>.<backend>`` wall/CPU summaries,
   recorded at the :func:`repro.kernels.timed` dispatch boundary, so a
-  perf report can say "``paths.python`` cost 4.1s over 120k calls" and
-  the compiled-extension roadmap item has data to pick targets;
+  perf report can say "``batch.numpy`` cost 4.1s over 35 calls";
 * **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``),
   per-stage RSS growth sampled by :func:`repro.perf.timers.stage`, and
   explicit byte accounts for the big allocations (padded batch
@@ -39,17 +42,19 @@ import gc
 import resource
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.obs.spans import DISABLED, SpanTracer
 
 __all__ = [
     "KernelStat",
     "Profiler",
+    "Timer",
+    "UNTIMED",
     "add_to_current",
     "collect_profile",
     "current_profiler",
@@ -72,7 +77,8 @@ def rss_bytes() -> int:
 
 @dataclass(slots=True)
 class KernelStat:
-    """Streaming wall/CPU summary of one ``<kernel>.<backend>`` pair."""
+    """Streaming wall/CPU summary of one ``<kernel>.<backend>`` pair or
+    one pipeline stage."""
 
     count: int = 0
     wall_s: float = 0.0
@@ -124,6 +130,10 @@ class Profiler:
     """
 
     def __init__(self) -> None:
+        #: Pipeline stage name -> timing summary.  Stages nest (``merge``
+        #: inside ``insert`` inside ``schedule``), so they do not sum to
+        #: wall time.
+        self.stages: dict[str, KernelStat] = {}
         #: ``<kernel>.<backend>`` -> timing summary.
         self.kernels: dict[str, KernelStat] = {}
         #: Stage name -> summed positive peak-RSS growth (bytes) across
@@ -142,11 +152,11 @@ class Profiler:
 
     # -- recording ---------------------------------------------------------
 
+    def record_stage(self, name: str, wall_s: float, cpu_s: float) -> None:
+        _observe(self.stages, name, wall_s, cpu_s)
+
     def record_kernel(self, key: str, wall_s: float, cpu_s: float) -> None:
-        stat = self.kernels.get(key)
-        if stat is None:
-            stat = self.kernels[key] = KernelStat()
-        stat.observe(wall_s, cpu_s)
+        _observe(self.kernels, key, wall_s, cpu_s)
 
     def record_stage_rss(self, stage: str, delta: int) -> None:
         if delta > 0:
@@ -174,11 +184,14 @@ class Profiler:
         one.  Associative and commutative."""
         if isinstance(other, Mapping):
             other = Profiler.from_dict(other)
-        for key, stat in other.kernels.items():
-            mine = self.kernels.get(key)
-            if mine is None:
-                mine = self.kernels[key] = KernelStat()
-            mine.merge_from(stat)
+        for mine, theirs in (
+            (self.stages, other.stages),
+            (self.kernels, other.kernels),
+        ):
+            for key, stat in theirs.items():
+                if key not in mine:
+                    mine[key] = KernelStat()
+                mine[key].merge_from(stat)
         for stage, delta in other.stage_rss.items():
             self.stage_rss[stage] = self.stage_rss.get(stage, 0) + delta
         for key, n in other.bytes.items():
@@ -191,6 +204,10 @@ class Profiler:
 
     def as_dict(self) -> dict:
         return {
+            "stages": {
+                name: stat.as_dict()
+                for name, stat in sorted(self.stages.items())
+            },
             "kernels": {
                 key: stat.as_dict()
                 for key, stat in sorted(self.kernels.items())
@@ -208,6 +225,8 @@ class Profiler:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Profiler":
         prof = cls()
+        for name, stat in data.get("stages", {}).items():
+            prof.stages[name] = KernelStat.from_dict(stat)
         for key, stat in data.get("kernels", {}).items():
             prof.kernels[key] = KernelStat.from_dict(stat)
         for stage, delta in data.get("stage_rss", {}).items():
@@ -252,6 +271,45 @@ class Profiler:
             )
             lines.append(f"  bytes: {accounts}")
         return "\n".join(lines)
+
+
+def _observe(
+    table: dict[str, KernelStat], key: str, wall_s: float, cpu_s: float
+) -> None:
+    stat = table.get(key)
+    if stat is None:
+        stat = table[key] = KernelStat()
+    stat.observe(wall_s, cpu_s)
+
+
+class Timer:
+    """Times its block's wall and CPU seconds into a profiler table.
+
+    ``record`` is :meth:`Profiler.record_stage` or
+    :meth:`Profiler.record_kernel`; :func:`repro.perf.timers.stage` and
+    :func:`repro.kernels.timed` are its two users.
+    """
+
+    __slots__ = ("_record", "_key", "_wall0", "_cpu0")
+
+    def __init__(
+        self, record: Callable[[str, float, float], None], key: str
+    ) -> None:
+        self._record = record
+        self._key = key
+
+    def __enter__(self) -> None:
+        self._cpu0 = time.process_time()
+        self._wall0 = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        wall = time.perf_counter() - self._wall0
+        self._record(self._key, wall, time.process_time() - self._cpu0)
+        return False
+
+
+#: Shared no-op timer, so a profiler-off path allocates nothing per call.
+UNTIMED = nullcontext()
 
 
 def _fmt_bytes(n: int) -> str:

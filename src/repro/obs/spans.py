@@ -7,10 +7,10 @@ operations (``BarrierDag.evolved_insert``, ``DominatorTree.evolved``,
 the k-longest-path walk, merge worklist rounds) open spans of their own
 inside them, so a collected trace is a tree that shows *where inside a
 stage* the time went.  Point-in-time occurrences that have no duration
--- an engine barrier release, a sweep-cache hit -- are recorded as
+-- an engine barrier release, a path explosion -- are recorded as
 *instant events*.
 
-Like the stage timers, tracing is **opt-in and zero-cost when off**: a
+Like the profiler, tracing is **opt-in and zero-cost when off**: a
 subscriber installs a :class:`SpanTracer` with :func:`collect_trace`,
 and every :func:`span` block encountered while it is active records
 into it.  With no subscriber a :func:`span` block costs one
@@ -242,7 +242,7 @@ def collect_trace() -> Iterator[SpanTracer]:
     """Install a fresh tracer for the dynamic extent of the block.
 
     Tracers nest innermost-wins, mirroring
-    :func:`repro.perf.timers.collect_timings`.
+    :func:`repro.obs.prof.collect_profile`.
     """
     tracer = SpanTracer()
     token = _tracer.set(tracer)

@@ -1,16 +1,14 @@
-"""Performance layer: parallel corpus execution, result caching, timers.
+"""Performance layer: parallel corpus execution, stage timers, perf records.
 
 The paper's evaluation sweeps 3500+ synthetic basic blocks; this package
 makes that affordable at full scale:
 
-* :mod:`repro.perf.timers` -- per-stage wall-clock accumulators
-  (generate / schedule / insert / merge / simulate) that the pipeline
-  reports through :class:`~repro.metrics.stats.CorpusStats`;
+* :mod:`repro.perf.timers` -- the five pipeline stages (generate /
+  schedule / insert / merge / simulate), timed into the active
+  profiler (:attr:`repro.obs.prof.Profiler.stages`);
 * :mod:`repro.perf.parallel` -- the corpus chunk runner behind
   :func:`~repro.experiments.sweeps.run_corpus`, in-process or on a fork
   pool, bit-identical either way (``--jobs`` / ``REPRO_JOBS``);
-* :mod:`repro.perf.cache` -- an on-disk content-addressed cache of
-  corpus statistics keyed by the experiment point and package version;
 * :mod:`repro.perf.report` -- the ``repro-sbm perf`` harness emitting
   ``BENCH_*.json`` trajectory records.
 
@@ -30,18 +28,11 @@ from repro._lazy import lazy_exports
 DEFAULT_TRAJECTORY = Path("benchmarks") / "data" / "BENCH_trajectory.jsonl"
 
 _EXPORTS = {
-    "StageTimings": "repro.perf.timers",
-    "collect_timings": "repro.perf.timers",
     "stage": "repro.perf.timers",
     "fork_available": "repro.perf.parallel",
     "resolve_jobs": "repro.perf.parallel",
     "results_digest": "repro.perf.parallel",
     "run_chunk": "repro.perf.parallel",
-    "cache_dir": "repro.perf.cache",
-    "resolve_cache": "repro.perf.cache",
-    "point_cache_key": "repro.perf.cache",
-    "load_point_stats": "repro.perf.cache",
-    "store_point_stats": "repro.perf.cache",
     "PerfReport": "repro.perf.report",
     "run_perf_report": "repro.perf.report",
 }

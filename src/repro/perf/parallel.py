@@ -17,9 +17,16 @@ submission order and the filter keeps cases by position within each
 chunk, so the accepted sequence is the serial one whatever the chunk
 size or worker count.  :func:`results_digest` pins this.
 
-**Graceful fallback.**  ``jobs=1``, a platform without ``fork``, or an
-unpicklable payload (e.g. a closure ``accept`` filter) runs the chunks
-in-process; callers never have to care.
+**Graceful fallback.**  ``jobs=1``, a platform without ``fork``, an
+unpicklable payload (e.g. a closure ``accept`` filter) or an active
+provenance recorder runs the chunks in-process; callers never have to
+care.
+
+**One rule for collectors.**  A pool worker installs exactly the
+collectors its parent has active -- span tracer, metrics registry,
+profiler -- and ships each one's state back with the chunk's results,
+so a parent that collects nothing pays for no collection in its
+workers.
 
 **Bounded dispatch.**  The driver never has more seeds in flight than
 cases it still needs, so an unfiltered corpus draws exactly ``count``
@@ -44,9 +51,10 @@ from repro.core.scheduler import ScheduleResult, SchedulerConfig, SyncCounts
 from repro.io import result_summary
 from repro.obs import metrics as obs_metrics
 from repro.obs import prof as obs_prof
+from repro.obs.provenance import current_recorder
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
-from repro.perf.timers import add_to_current, collect_timings, stage
+from repro.perf.timers import stage
 from repro.synth import genvec
 from repro.synth.corpus import BenchmarkCase
 from repro.timing import Interval
@@ -136,41 +144,41 @@ def run_chunk(
     return results
 
 
-def _run_worker(point, seeds, accept, compact, trace: bool, profile: bool):
-    """Fork-pool entry point: :func:`run_chunk` under fresh collectors.
+def _run_worker(point, seeds, accept, compact, collectors):
+    """Fork-pool entry point: :func:`run_chunk` under the parent's
+    collectors.
 
-    Returns the chunk's results plus what the parent merges into its
-    own collectors: stage timings, obs metrics and, when the parent
-    collects them, the resource profile and the span tracer state.
+    ``collectors`` says whether the parent has a (tracer, metrics
+    registry, profiler) active.  Fork copied the parent's collectors,
+    and records made into the copies would be lost, so the worker
+    installs a fresh one for each the parent has active and none for
+    the others.  Returns the chunk's results plus each collector's
+    state (``None`` where not installed).
     """
-    # Fork copied the parent's contextvars, so without fresh collectors
-    # the worker would record into dead copies of the parent's.  The
-    # profiler is installed before run_chunk's batched_gc so that its
-    # GC hook finds it.
-    tracing = collect_trace() if trace else nullcontext(None)
-    profiling = obs_prof.collect_profile() if profile else nullcontext(None)
-    with tracing as tracer, obs_metrics.collect_metrics() as metrics, (
-        profiling
-    ) as prof, collect_timings() as timings:
+    trace, metrics, profile = collectors
+    tracing = collect_trace() if trace else nullcontext()
+    counting = obs_metrics.collect_metrics() if metrics else nullcontext()
+    profiling = obs_prof.collect_profile() if profile else nullcontext()
+    # The profiler is installed before run_chunk's batched_gc so that
+    # its GC hook finds it.
+    with tracing as tracer, counting as registry, profiling as prof:
         results = run_chunk(point, seeds, accept, compact)
     return results, (
-        timings.as_dict(),
-        metrics.as_dict(),
-        prof.as_dict() if prof is not None else None,
         tracer.export_state() if tracer is not None else None,
+        registry.as_dict() if registry is not None else None,
+        prof.as_dict() if prof is not None else None,
     )
 
 
 def _absorb(shipped) -> None:
-    """Merge one worker's collectors into the parent's."""
-    timings, metrics, profile, trace_state = shipped
-    add_to_current(timings)
-    obs_metrics.add_to_current(metrics)
+    """Merge one worker's collector states into the parent's."""
+    trace_state, metrics, profile = shipped
+    if trace_state is not None:
+        current_tracer().adopt(trace_state)
+    if metrics is not None:
+        obs_metrics.add_to_current(metrics)
     if profile is not None:
         obs_prof.add_to_current(profile)
-    tracer = current_tracer()
-    if trace_state is not None and tracer is not None:
-        tracer.adopt(trace_state)
 
 
 def _poolable(
@@ -179,6 +187,11 @@ def _poolable(
     jobs: int,
 ) -> bool:
     if jobs <= 1 or point.count <= 0 or not fork_available():
+        return False
+    # Decisions are per-node records the workers would have to ship
+    # whole; the batched scheduler already falls back to per-case
+    # scheduling while a recorder watches, so record in-process.
+    if current_recorder() is not None:
         return False
     try:  # closures / bound methods as ``accept`` cannot cross processes
         pickle.dumps((point, accept))
@@ -203,9 +216,10 @@ def chunk_runner(
     With ``jobs > 1`` a fork pool runs chunks of
     ``ceil(count / (jobs * CHUNKS_IN_FLIGHT))`` seeds, at most
     :data:`DEFAULT_BATCH`, compacted when ``compact`` allows.  With one
-    job, without ``fork``, or when the point or ``accept`` does not
-    pickle, chunks of :data:`DEFAULT_BATCH` run in-process as they are
-    submitted, one at a time and never compacted.
+    job, without ``fork``, under a provenance recorder, or when the
+    point or ``accept`` does not pickle, chunks of
+    :data:`DEFAULT_BATCH` run in-process as they are submitted, one at
+    a time and never compacted.
     """
     if not _poolable(point, accept, jobs):
 
@@ -217,7 +231,11 @@ def chunk_runner(
         return
     window = jobs * CHUNKS_IN_FLIGHT
     chunk = min(DEFAULT_BATCH, -(-point.count // window))
-    ship = (current_tracer() is not None, obs_prof.current_profiler() is not None)
+    collectors = (
+        current_tracer() is not None,
+        obs_metrics.current_registry() is not None,
+        obs_prof.current_profiler() is not None,
+    )
     # Load numpy (when the backend uses it) before the fork, so the
     # workers inherit it instead of each importing it.
     kernels.resolved_backend()
@@ -226,7 +244,7 @@ def chunk_runner(
 
         def submit(seeds):
             future = pool.submit(
-                _run_worker, point, seeds, accept, compact, *ship
+                _run_worker, point, seeds, accept, compact, collectors
             )
 
             def wait():

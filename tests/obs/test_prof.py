@@ -71,6 +71,7 @@ class TestProfilerMerge:
 
     def _parts(self) -> list[Profiler]:
         a = _profile(**{"assign.numpy": [(0.1, 0.1), (0.3, 0.2)]})
+        a.record_stage("schedule", 0.5, 0.4)
         a.record_stage_rss("schedule", 1024)
         a.add_bytes("genvec.drawn", 4096)
         a.peak_rss = 500
@@ -78,6 +79,8 @@ class TestProfilerMerge:
         b = _profile(
             **{"assign.numpy": [(0.2, 0.1)], "genvec.python": [(0.05, 0.05)]}
         )
+        b.record_stage("schedule", 0.25, 0.25)
+        b.record_stage("generate", 0.125, 0.1)
         b.record_stage_rss("schedule", 512)
         b.record_stage_rss("generate", 256)
         b.peak_rss = 900
@@ -132,6 +135,10 @@ class TestProfilerMerge:
         assert total.kernels["assign.numpy"].count == 3
         assert total.kernels["assign.numpy"].wall_s == pytest.approx(0.6)
         assert total.kernels["assign.numpy"].max_s == pytest.approx(0.3)
+        assert total.stages["schedule"].count == 2
+        assert total.stages["schedule"].wall_s == pytest.approx(0.75)
+        assert total.stages["schedule"].cpu_s == pytest.approx(0.65)
+        assert total.stages["generate"].max_s == pytest.approx(0.125)
         assert total.stage_rss == {"schedule": 1536, "generate": 256}
         assert total.bytes == {"genvec.drawn": 5096, "batch.tensors": 2000}
         assert total.peak_rss == 900  # max-merge, not sum
@@ -206,10 +213,13 @@ class TestCollection:
         assert prof.gc_pauses >= 1
 
     def test_add_to_current(self):
-        shipped = _profile(**{"k.numpy": [(1.0, 0.9)]}).as_dict()
+        worker = _profile(**{"k.numpy": [(1.0, 0.9)]})
+        worker.record_stage("merge", 0.5, 0.5)
+        shipped = worker.as_dict()
         with collect_profile() as prof:
             add_to_current(shipped)
         assert prof.kernels["k.numpy"].count == 1
+        assert prof.stages["merge"].wall_s == pytest.approx(0.5)
         add_to_current(shipped)  # no active profiler: silent no-op
 
     def test_disable_kill_switch(self, monkeypatch):

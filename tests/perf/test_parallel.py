@@ -10,6 +10,8 @@ run, so ``REPRO_CHECK_KERNELS=1`` cross-checks them the same way.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import kernels
@@ -17,6 +19,7 @@ from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point
 from repro.ir.tuples import TupleProgram
 from repro.obs import metrics as obs_metrics
+from repro.obs.provenance import collect_provenance
 from repro.perf import parallel
 from repro.perf.parallel import (
     CompactResult,
@@ -93,8 +96,8 @@ class TestDeterminism:
     @needs_fork
     def test_run_point_stats_match(self):
         point = small_point()
-        s1 = run_point(point, jobs=1, cache=False)
-        s4 = run_point(point, jobs=4, cache=False)
+        s1 = run_point(point, jobs=1)
+        s4 = run_point(point, jobs=4)
         assert s1.per_benchmark == s4.per_benchmark
         assert s1.mean_makespan_max == s4.mean_makespan_max
 
@@ -103,6 +106,41 @@ class TestDeterminism:
         b = run_corpus(small_point(master_seed=22))
         assert results_digest(a) != results_digest(b)
         assert results_digest(a) != results_digest(a[:-1])
+
+
+class TestCollectors:
+    def test_worker_ships_exactly_the_parents_collectors(self):
+        """A worker installs the tracer, registry and profiler its parent
+        has active, and no other, and ships back each one's state."""
+        point = small_point(count=2)
+        for collectors in itertools.product((False, True), repeat=3):
+            results, shipped = parallel._run_worker(
+                point, [11, 12], None, True, collectors
+            )
+            assert len(results) == 2
+            assert [state is not None for state in shipped] == list(
+                collectors
+            ), collectors
+            trace_state, metrics, profile = shipped
+            if trace_state is not None:
+                assert trace_state["spans"]
+            if metrics is not None:
+                assert metrics["counters"]
+            if profile is not None:
+                assert profile["stages"]["schedule"]["count"] == 1
+
+    @needs_fork
+    def test_provenance_recorder_sees_pooled_run(self):
+        """Forked workers would record into their copy of the parent's
+        recorder, so a run under a recorder stays in-process."""
+        point = ExperimentPoint(count=8, master_seed=3)
+        runs = []
+        for jobs in (1, 2):
+            with collect_provenance() as recorder:
+                digest = results_digest(run_corpus(point, jobs=jobs))
+            runs.append((recorder.as_dict(), digest))
+        assert runs[0][0]["barriers"] and runs[0][0]["merges"]
+        assert runs[1] == runs[0]
 
 
 class _NoPool:

@@ -118,7 +118,8 @@ class TestFlow:
         path = tmp_path / "prog.src"
         path.write_text("a = b + c")
         assert main(["flow", str(path)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # no partial report before the error
         assert err.startswith("repro-sbm: error:")
         assert "'b'" in err and "--input VAR=INT" in err
         assert len(err.strip().splitlines()) == 1
@@ -635,7 +636,7 @@ class TestHybridCLI:
 
     def test_hybrid_experiment_registered(self, capsys):
         assert main(
-            ["experiment", "hybrid", "--count", "4", "--no-cache"]
+            ["experiment", "hybrid", "--count", "4"]
         ) == 0
         out = capsys.readouterr().out
         assert "hybrid robustness study" in out
@@ -736,7 +737,7 @@ class TestProfileFlag:
     def test_experiment_profile(self, capsys, tmp_path):
         folded = tmp_path / "exp.folded"
         assert main(
-            ["experiment", "fig15", "--count", "2", "--no-cache",
+            ["experiment", "fig15", "--count", "2",
              "--profile", str(folded)]
         ) == 0
         err = capsys.readouterr().err
