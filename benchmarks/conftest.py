@@ -17,11 +17,8 @@ at that scale the corpus drivers fan out over all cores by default
 or force serial with ``REPRO_JOBS=1``).  Parallel results are
 bit-identical to serial -- see docs/performance.md.
 
-The compute backend follows ``REPRO_BACKEND`` (python / numpy / auto,
-see :mod:`repro.kernels`); it is validated once here so a typo fails
-the whole session immediately instead of erroring 50 corpora in, and
-pinned into the environment so the parallel workers and any
-subprocesses observe the same setting.
+The numpy kernels engage on their own when numpy imports and a call is
+large enough (see :mod:`repro.kernels`); they never change a result.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ import os
 
 import pytest
 
-from repro import kernels
-
 #: Benchmarks per parameter point (paper: 100).
 BENCH_COUNT = int(os.environ.get("REPRO_BENCH_COUNT", "50"))
 
@@ -39,10 +34,6 @@ BENCH_COUNT = int(os.environ.get("REPRO_BENCH_COUNT", "50"))
 #: startup; smaller runs keep the serial default.
 if BENCH_COUNT >= 100:
     os.environ.setdefault("REPRO_JOBS", "0")  # 0 = all cores
-
-#: Validate and pin the kernel backend for the whole session (forked
-#: corpus workers inherit the environment; see repro.perf.parallel).
-os.environ["REPRO_BACKEND"] = kernels.backend_setting()
 
 
 @pytest.fixture

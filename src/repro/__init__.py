@@ -56,10 +56,8 @@ _EXPORTS = {
     "BarrierDag": "repro.barriers.dag",
     "BarrierMask": "repro.barriers.mask",
     "DominatorTree": "repro.barriers.dominators",
-    "DBMSimulator": "repro.machine.dbm",
     "ExecutionTrace": "repro.machine.trace",
     "MachineProgram": "repro.machine.program",
-    "SBMSimulator": "repro.machine.sbm",
     "UniformSampler": "repro.machine.durations",
     "VLIWSchedule": "repro.machine.vliw",
     "simulate_conventional_mimd": "repro.machine.mimd",
@@ -111,10 +109,8 @@ __all__ = [
     "BarrierDag",
     "BarrierMask",
     "DominatorTree",
-    "DBMSimulator",
     "ExecutionTrace",
     "MachineProgram",
-    "SBMSimulator",
     "UniformSampler",
     "VLIWSchedule",
     "simulate_conventional_mimd",

@@ -58,7 +58,11 @@ attributes a flagged regression to the stages/kernels that slowed
 down.  See docs/observability.md.
 
 Bad inputs (missing files, malformed source, out-of-range parameters)
-exit with status 2 and a one-line diagnostic, never a traceback.
+exit with status 2 and a one-line diagnostic, never a traceback.  A
+command writes every output file it was asked for (``-o``,
+``--record``, ``--timeline``, the trajectory entry) before it prints
+its first line, so a reader that closes stdout early (``| head``) gets
+exit 2 but still finds the files.
 
 Each handler imports the modules its subcommand uses, so a command
 loads only what it runs: ``schedule``, ``simulate`` and ``explain`` need
@@ -467,13 +471,6 @@ def _add_perf_args(p: argparse.ArgumentParser) -> None:
         help="worker processes for corpus points (0 = all cores; "
         "default: the REPRO_JOBS environment variable, else serial)",
     )
-    p.add_argument(
-        "--backend",
-        choices=("python", "numpy", "auto"),
-        default=None,
-        help="scheduling-kernel backend (default: the REPRO_BACKEND "
-        "environment variable, else auto)",
-    )
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
@@ -613,7 +610,8 @@ def _provenance_scope(args):
     return nullcontext(None)
 
 
-def _write_record(args, result, recorder, trace=None, analysis=None) -> None:
+def _write_record(args, result, recorder, trace=None, analysis=None) -> str:
+    """Write the ``--record`` file; return the line that reports it."""
     from repro.obs.diff import run_record, write_run_record
 
     record = run_record(
@@ -624,7 +622,7 @@ def _write_record(args, result, recorder, trace=None, analysis=None) -> None:
         label=_record_label(args),
     )
     write_run_record(record, args.record)
-    print(f"wrote run record {args.record}")
+    return f"wrote run record {args.record}"
 
 
 def _cmd_schedule(args) -> int:
@@ -633,20 +631,21 @@ def _cmd_schedule(args) -> int:
 
     with _provenance_scope(args) as recorder:
         _, result = _schedule_from_args(args)
+    lines = []
     if not args.quiet:
-        print("== barrier embedding ==")
-        print(render_embedding(result.schedule))
-        print("\n== barrier dag ==")
-        print(render_barrier_dag(result.schedule))
-        print()
-    print(result.describe())
-    print(analyze_schedule(result).render())
+        lines += [
+            "== barrier embedding ==",
+            render_embedding(result.schedule),
+            "\n== barrier dag ==",
+            render_barrier_dag(result.schedule),
+            "",
+        ]
+    lines += [result.describe(), analyze_schedule(result).render()]
     if result.hybrid is not None:
-        print()
-        print("== hybrid demotion plan ==")
-        print(result.hybrid.render())
+        lines += ["", "== hybrid demotion plan ==", result.hybrid.render()]
     if args.record:
-        _write_record(args, result, recorder)
+        lines.append(_write_record(args, result, recorder))
+    print("\n".join(lines))
     return 0
 
 
@@ -703,6 +702,7 @@ def _cmd_simulate(args) -> int:
     sim = simulate_sbm if args.machine == "sbm" else simulate_dbm
     sampler = getattr(durations, _SAMPLERS[args.sampler])()
     first: tuple | None = None  # (trace, analysis) of run 0
+    lines = []
     for run in range(args.runs):
         trace = sim(program, sampler, rng=args.sim_seed + run)
         trace.assert_sound(program.edges)
@@ -710,19 +710,20 @@ def _cmd_simulate(args) -> int:
         if first is None:
             first = (trace, analysis)
         if not args.quiet:
-            print(f"== run {run} ==")
-            print(render_gantt(program, trace))
-            print(analysis.render())
-            print()
+            lines += [
+                f"== run {run} ==",
+                render_gantt(program, trace),
+                analysis.render(),
+                "",
+            ]
         else:
-            print(trace.describe())
-    print(result.describe())
-    print(f"static makespan bound {result.makespan}")
+            lines.append(trace.describe())
+    lines += [result.describe(), f"static makespan bound {result.makespan}"]
     if result.hybrid is not None:
-        print(result.hybrid.describe())
+        lines.append(result.hybrid.describe())
         if first is not None:
             t = first[0]
-            print(
+            lines.append(
                 f"run 0 data-guard waits: {len(t.guard_waits)}"
                 f" ({t.guard_saves} recovered)"
             )
@@ -730,10 +731,13 @@ def _cmd_simulate(args) -> int:
         from repro.obs.runtime_export import write_machine_trace
 
         write_machine_trace(program, first[0], args.timeline, first[1])
-        print(f"wrote machine timeline {args.timeline}")
+        lines.append(f"wrote machine timeline {args.timeline}")
     if args.record:
         trace, analysis = first if first is not None else (None, None)
-        _write_record(args, result, recorder, trace=trace, analysis=analysis)
+        lines.append(
+            _write_record(args, result, recorder, trace=trace, analysis=analysis)
+        )
+    print("\n".join(lines))
     return 0
 
 
@@ -767,16 +771,15 @@ def _cmd_explain(args) -> int:
         data = report.as_dict()
         if analysis is not None:
             data["runtime"] = analysis.as_dict()
-        print(json.dumps(data, indent=1, sort_keys=True))
+        lines = [json.dumps(data, indent=1, sort_keys=True)]
     else:
-        print(report.render())
+        lines = [report.render()]
         if analysis is not None:
-            print()
-            print(analysis.render())
-            for line in _critical_decisions(analysis, recorder):
-                print(line)
+            lines += ["", analysis.render()]
+            lines += _critical_decisions(analysis, recorder)
     if args.record:
-        _write_record(args, result, recorder, analysis=analysis)
+        lines.append(_write_record(args, result, recorder, analysis=analysis))
+    print("\n".join(lines))
     return 0
 
 
@@ -993,29 +996,26 @@ def _cmd_archive(args) -> int:
 
 @contextmanager
 def _perf_env(args):
-    """Scope the REPRO_JOBS / REPRO_BACKEND knobs to one command.
+    """Scope the ``--jobs`` choice (``REPRO_JOBS``) to one command.
 
     The experiment functions reach run_point/sweep several layers down;
-    the jobs/backend choices travel via the environment variables those
-    helpers already resolve.  Scoping (rather than plain assignment)
-    keeps in-process callers of :func:`main` -- the test suite -- from
+    the jobs choice travels via the environment variable those helpers
+    already resolve.  Scoping (rather than plain assignment) keeps
+    in-process callers of :func:`main` -- the test suite -- from
     leaking configuration between invocations.
     """
-    overrides: dict[str, str] = {}
-    if args.jobs is not None:
-        overrides["REPRO_JOBS"] = str(args.jobs)
-    if getattr(args, "backend", None) is not None:
-        overrides["REPRO_BACKEND"] = args.backend
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
+    if args.jobs is None:
+        yield
+        return
+    saved = os.environ.get("REPRO_JOBS")
+    os.environ["REPRO_JOBS"] = str(args.jobs)
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_JOBS", None)
+        else:
+            os.environ["REPRO_JOBS"] = saved
 
 
 def _cmd_experiment(args) -> int:
@@ -1082,14 +1082,14 @@ def _cmd_perf(args) -> int:
         report = run_perf_report(
             count=args.count, master_seed=args.seed, preset=args.preset
         )
-    print(report.render())
+    lines = [report.render()]
     if args.output and args.output != "-":
         path = report.write(args.output)
-        print(f"wrote {path}")
+        lines.append(f"wrote {path}")
     else:
         import json
 
-        print(json.dumps(report.data, indent=1, sort_keys=True))
+        lines.append(json.dumps(report.data, indent=1, sort_keys=True))
     if not args.no_trajectory:
         from repro.perf.report import append_trajectory
 
@@ -1098,7 +1098,8 @@ def _cmd_perf(args) -> int:
             args.trajectory or DEFAULT_TRAJECTORY,
             label=args.label,
         )
-        print(f"appended trajectory entry to {path}")
+        lines.append(f"appended trajectory entry to {path}")
+    print("\n".join(lines))
     return 0
 
 
@@ -1134,18 +1135,19 @@ def _cmd_watch(args) -> int:
         data = report.as_dict()
         if explain is not None:
             data["explain"] = explain.as_dict()
-        print(json.dumps(data, indent=1, sort_keys=True))
+        lines = [json.dumps(data, indent=1, sort_keys=True)]
     else:
-        print(report.render())
+        lines = [report.render()]
         if explain is not None:
-            print(explain.render())
+            lines.append(explain.render())
     if args.output:
         markdown = report.render_markdown()
         if explain is not None:
             markdown = markdown.rstrip("\n") + "\n\n" + explain.render_markdown()
         with open(args.output, "w", encoding="utf-8") as fp:
             fp.write(markdown)
-        print(f"wrote {args.output}")
+        lines.append(f"wrote {args.output}")
+    print("\n".join(lines))
     return 0 if report.ok else 1
 
 

@@ -23,7 +23,7 @@ is unchanged.
 
 Cases whose config opts out of merging (DBM machines,
 ``merge_barriers=False``) finalize serially inside the batch; a chunk
-below the ``"batch"`` backend threshold, a non-numpy backend, or an
+below the ``"batch"`` kernel threshold, a machine without numpy, or an
 active provenance recorder (which wants one record per rejected pair)
 falls back to plain per-case ``schedule_dag``.
 """
@@ -66,8 +66,8 @@ def schedule_cases(
 
     ``configs`` is parallel to ``dags`` (one scheduler config per case).
     Falls back to per-case :func:`schedule_dag` when the chunk is too
-    small for the ``"batch"`` kernel threshold, the backend is python,
-    or a provenance recorder is active.
+    small for the ``"batch"`` kernel threshold, numpy is missing, or a
+    provenance recorder is active.
     """
     if len(dags) != len(configs):
         raise ValueError("dags and configs must be parallel sequences")

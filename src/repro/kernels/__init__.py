@@ -14,32 +14,24 @@ merge scans have no kernel: they run on one block's barrier dag, which
 stays far below the size where array setup pays for itself, so python
 is their only implementation.
 
-Backend selection (``REPRO_BACKEND``):
-
-``python``
-    Never use the kernels.
-``numpy``
-    Auto-pick a kernel above its per-kernel size threshold
-    (:data:`THRESHOLDS`); below it the python loop is faster than the
-    array setup it would replace, so the threshold applies on every
-    backend.  Raises ``ValueError`` when numpy is not importable (the
-    CLI maps this to its exit-2 one-line error contract).
-``auto`` (default, and the meaning of an empty/absent variable)
-    Same auto-pick, but degrade to pure python silently when numpy is
-    not available.
+Selection follows only what the program can observe: a call engages its
+kernel when numpy imports and the call's size reaches the kernel's
+threshold (:data:`THRESHOLDS`); below it the python loop is faster than
+the array setup it would replace.  Results never depend on the choice,
+so there is no user-set backend; a machine without numpy runs every
+routine in pure python.
 
 Cross-check mode (``REPRO_CHECK_KERNELS=1``): every kernel call *also*
 runs the python implementation and asserts bit-identical results,
 mirroring how ``REPRO_CHECK_INCREMENTAL`` pins the incremental views.
-Check mode forces kernels on under ``auto`` (otherwise small corpora
-would verify nothing); outcomes are counted as
-``kernels.check.checked`` / ``kernels.check.mismatches``.
+Check mode overrides the thresholds (otherwise small corpora would
+verify nothing); outcomes are counted as ``kernels.check.checked`` /
+``kernels.check.mismatches``.
 
 Every dispatch decision is counted -- module-locally (always, see
 :func:`kernels_info`) and on the active metrics registry
-(``kernels.calls.<kernel>.<backend>`` plus the
-``kernels.backend.<backend>`` totals) so backend drift is visible in
-traces, ``repro-sbm explain --json``, and perf reports.
+(``kernels.calls.<kernel>.<backend>``) so the path each kernel took is
+visible in traces, ``repro-sbm explain --json``, and perf reports.
 
 numpy itself is imported lazily: a pure-python run (or a machine
 without numpy) never pays the import.
@@ -55,8 +47,6 @@ from repro.obs import prof as obs_prof
 
 __all__ = [
     "THRESHOLDS",
-    "VALID_BACKENDS",
-    "backend_setting",
     "checking",
     "count",
     "have_numpy",
@@ -69,11 +59,9 @@ __all__ = [
     "verify",
 ]
 
-VALID_BACKENDS = ("python", "numpy", "auto")
-
-#: ``auto`` engages a kernel when its size measure reaches the
-#: threshold.  ``assign`` is sized by step-[2] candidates (active PEs
-#: plus one idle class), so narrow machines stay pure python.
+#: A kernel engages when its size measure reaches the threshold.
+#: ``assign`` is sized by step-[2] candidates (active PEs plus one idle
+#: class), so narrow machines stay pure python.
 THRESHOLDS: dict[str, int] = {
     "assign": 64,
     # Batched corpus kernels: sizes are *cases per batch*, not nodes.
@@ -111,48 +99,21 @@ def have_numpy() -> bool:
     return numpy() is not None
 
 
-def backend_setting() -> str:
-    """The validated ``REPRO_BACKEND`` setting (empty/absent = auto)."""
-    text = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not text:
-        return "auto"
-    if text not in VALID_BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {', '.join(VALID_BACKENDS)}, "
-            f"got {text!r}"
-        )
-    return text
-
-
 def checking() -> bool:
     """True when ``REPRO_CHECK_KERNELS`` asks for per-call cross-checks."""
     return os.environ.get("REPRO_CHECK_KERNELS", "") not in ("", "0")
 
 
 def resolved_backend() -> str:
-    """What the current environment resolves to (``python``/``numpy``)."""
-    setting = backend_setting()
-    if setting == "python":
-        return "python"
-    if setting == "numpy":
-        if not have_numpy():
-            raise ValueError("REPRO_BACKEND=numpy but numpy is not importable")
-        return "numpy"
+    """The path kernels can take here: ``numpy`` when it imports."""
     return "numpy" if have_numpy() else "python"
 
 
 def use_numpy(kernel: str, size: int) -> bool:
     """Decide the backend for one kernel call of the given size."""
-    setting = backend_setting()
-    if setting == "python":
-        return False
-    if setting == "numpy" and not have_numpy():
-        raise ValueError("REPRO_BACKEND=numpy but numpy is not importable")
     # Size test first so small pure-python runs never import numpy;
     # check mode overrides it (small corpora would verify nothing).
-    if not checking() and size < THRESHOLDS[kernel]:
-        return False
-    return have_numpy()
+    return (checking() or size >= THRESHOLDS[kernel]) and have_numpy()
 
 
 def count(kernel: str, backend: str) -> None:
@@ -162,7 +123,6 @@ def count(kernel: str, backend: str) -> None:
     reg = obs_metrics.current_registry()
     if reg is not None:
         reg.inc(key)
-        reg.inc(f"kernels.backend.{backend}")
 
 
 def timed(kernel: str, backend: str) -> ContextManager[None]:
@@ -207,19 +167,9 @@ def reset_calls() -> None:
 
 
 def kernels_info() -> dict:
-    """Backend status for reports: setting, resolution, call tallies."""
-    try:
-        setting = backend_setting()
-    except ValueError:
-        setting = os.environ.get("REPRO_BACKEND", "")
-    try:
-        resolved = resolved_backend()
-    except ValueError:
-        resolved = "error"
+    """Backend status for reports: resolution, thresholds, call tallies."""
     return {
-        "setting": setting,
-        "resolved": resolved,
-        "numpy_available": have_numpy(),
+        "resolved": resolved_backend(),
         "checking": checking(),
         "thresholds": dict(THRESHOLDS),
         "calls": dict(_CALLS),

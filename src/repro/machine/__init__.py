@@ -34,9 +34,7 @@ _EXPORTS = {
     "DeadlockError": "repro.machine.trace",
     "ExecutionTrace": "repro.machine.trace",
     "OrderViolation": "repro.machine.trace",
-    "SBMSimulator": "repro.machine.sbm",
     "simulate_sbm": "repro.machine.sbm",
-    "DBMSimulator": "repro.machine.dbm",
     "simulate_dbm": "repro.machine.dbm",
     "VLIWSchedule": "repro.machine.vliw",
     "vliw_schedule": "repro.machine.vliw",
@@ -62,9 +60,7 @@ __all__ = [
     "DeadlockError",
     "ExecutionTrace",
     "OrderViolation",
-    "SBMSimulator",
     "simulate_sbm",
-    "DBMSimulator",
     "simulate_dbm",
     "VLIWSchedule",
     "vliw_schedule",

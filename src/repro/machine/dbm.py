@@ -22,7 +22,7 @@ from repro.machine.engine import participant_arrivals, run_machine
 from repro.machine.program import MachineProgram
 from repro.machine.trace import ExecutionTrace
 
-__all__ = ["DBMSimulator", "simulate_dbm"]
+__all__ = ["simulate_dbm"]
 
 
 @dataclass
@@ -51,33 +51,6 @@ class DBMController:
         return barrier_id, fire_time
 
 
-@dataclass
-class DBMSimulator:
-    """Convenience wrapper executing many runs of one program."""
-
-    program: MachineProgram
-
-    def run(
-        self,
-        sampler: DurationSampler | None = None,
-        rng: random.Random | int | None = None,
-        allow_overrun: bool = False,
-    ) -> ExecutionTrace:
-        controller = DBMController(self.program)
-        return run_machine(
-            self.program, controller, "dbm", sampler, rng, allow_overrun
-        )
-
-    def run_many(
-        self,
-        n_runs: int,
-        sampler: DurationSampler | None = None,
-        seed: int = 0,
-    ) -> list[ExecutionTrace]:
-        rng = random.Random(seed)
-        return [self.run(sampler, rng) for _ in range(n_runs)]
-
-
 def simulate_dbm(
     program: MachineProgram,
     sampler: DurationSampler | None = None,
@@ -85,4 +58,6 @@ def simulate_dbm(
     allow_overrun: bool = False,
 ) -> ExecutionTrace:
     """One DBM execution of ``program`` under ``sampler``."""
-    return DBMSimulator(program).run(sampler, rng, allow_overrun)
+    return run_machine(
+        program, DBMController(program), "dbm", sampler, rng, allow_overrun
+    )

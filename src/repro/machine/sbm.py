@@ -28,7 +28,7 @@ from repro.machine.engine import participant_arrivals, run_machine
 from repro.machine.program import MachineProgram
 from repro.machine.trace import ExecutionTrace
 
-__all__ = ["SBMSimulator", "simulate_sbm"]
+__all__ = ["simulate_sbm"]
 
 
 @dataclass
@@ -72,33 +72,6 @@ class SBMController:
         return barrier_id, fire_time
 
 
-@dataclass
-class SBMSimulator:
-    """Convenience wrapper executing many runs of one program."""
-
-    program: MachineProgram
-
-    def run(
-        self,
-        sampler: DurationSampler | None = None,
-        rng: random.Random | int | None = None,
-        allow_overrun: bool = False,
-    ) -> ExecutionTrace:
-        controller = SBMController(self.program)
-        return run_machine(
-            self.program, controller, "sbm", sampler, rng, allow_overrun
-        )
-
-    def run_many(
-        self,
-        n_runs: int,
-        sampler: DurationSampler | None = None,
-        seed: int = 0,
-    ) -> list[ExecutionTrace]:
-        rng = random.Random(seed)
-        return [self.run(sampler, rng) for _ in range(n_runs)]
-
-
 def simulate_sbm(
     program: MachineProgram,
     sampler: DurationSampler | None = None,
@@ -106,4 +79,6 @@ def simulate_sbm(
     allow_overrun: bool = False,
 ) -> ExecutionTrace:
     """One SBM execution of ``program`` under ``sampler``."""
-    return SBMSimulator(program).run(sampler, rng, allow_overrun)
+    return run_machine(
+        program, SBMController(program), "sbm", sampler, rng, allow_overrun
+    )

@@ -111,7 +111,8 @@ def bench_generate(
     if not kernels.use_numpy("genvec", count):
         raise RuntimeError(
             "genvec resolves to the python path here "
-            f"(backend {kernels.backend_setting()!r}, count {count}); "
+            f"(count {count}, threshold {kernels.THRESHOLDS['genvec']}, "
+            f"numpy importable: {kernels.have_numpy()}); "
             "the gate would compare python against itself"
         )
 

@@ -155,8 +155,7 @@ class PerfReport:
             )
             lines.append(
                 f"backend {backend.get('resolved')} "
-                f"(setting {backend.get('setting')}, "
-                f"check {'on' if backend.get('checking') else 'off'}); "
+                f"(check {'on' if backend.get('checking') else 'off'}); "
                 f"kernel calls numpy {numpy_calls} python {python_calls}"
             )
         counters = d.get("metrics", {}).get("counters", {})

@@ -26,8 +26,9 @@ that are *bit-identical* by construction:
   optimized program -- including the raw tuple numbering with gaps --
   without ever materializing the AST or the unoptimized program.
 
-Dispatch rides the existing kernel machinery: ``REPRO_BACKEND`` and
-``THRESHOLDS["genvec"]`` decide per batch, every decision is counted
+Dispatch rides the existing kernel machinery: the batch runs vectorized
+when numpy imports and its size reaches ``THRESHOLDS["genvec"]``,
+every decision is counted
 under ``kernels.calls.genvec.*``, and ``REPRO_CHECK_KERNELS=1``
 cross-checks every vectorized case against :func:`compile_case`.
 
@@ -703,9 +704,9 @@ def compile_cases(
     seeds,
     timing: TimingModel = DEFAULT_TIMING,
 ) -> list[BenchmarkCase]:
-    """Compile a batch of seeds, vectorized when the backend allows.
+    """Compile a batch of seeds, vectorized when numpy serves.
 
-    The dispatch contract matches every other kernel: ``REPRO_BACKEND``
+    The dispatch contract matches every other kernel: numpy's presence
     plus ``THRESHOLDS["genvec"]`` (batch size) pick the path, the
     decision is counted, and check mode re-derives every case through
     :func:`compile_case` and asserts the optimized programs match.

@@ -4,8 +4,9 @@ The machine controllers test a barrier's readiness with a flat check
 over its participants (:meth:`BarrierMask.participants`, cached per
 program).  These tests pin set-bit iteration and the participant
 sequence across 64-bit word boundaries, plus the end-to-end property:
-1024-PE configurations schedule, simulate soundly, and produce
-backend-identical results digests.
+1024-PE configurations schedule and simulate soundly.  Their results
+digests are pinned on both kernel paths in
+``tests/core/test_wide_digests.py``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ import pytest
 
 from repro.barriers.mask import BarrierMask
 from repro.core.scheduler import SchedulerConfig, schedule_dag
-from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
-from repro.perf.parallel import results_digest
-from repro.synth.generator import GeneratorConfig
 
 from tests.conftest import make_case
 
@@ -62,20 +60,3 @@ class TestScale1024:
         program = MachineProgram.from_schedule(result.schedule)
         trace = simulate_sbm(program, rng=0)
         trace.assert_sound(program.edges)
-
-    def test_digest_parity_across_backends(self, monkeypatch):
-        pytest.importorskip("numpy")
-
-        def digest():
-            point = ExperimentPoint(
-                generator=GeneratorConfig(n_statements=40, n_variables=8),
-                scheduler=SchedulerConfig(n_pes=1024),
-                count=3,
-                master_seed=17,
-            )
-            return results_digest(run_corpus(point, jobs=1))
-
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        baseline = digest()
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert digest() == baseline

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
+from repro import kernels
 from repro.timing import Interval
 from repro.ir import compile_source, parse_block
 from repro.ir.dag import InstructionDAG
@@ -40,6 +42,23 @@ h = f & d
 e = h - f
 g = c + e
 """
+
+
+@contextmanager
+def without_numpy():
+    """Run as on a machine without numpy: every kernel takes its python
+    path, the reference the numpy kernels must match bit for bit.
+    Forked pool workers inherit the patch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "numpy", lambda: None)
+        yield
+
+
+@pytest.fixture
+def no_numpy():
+    """:func:`without_numpy` for the whole test."""
+    with without_numpy():
+        yield
 
 
 @pytest.fixture

@@ -4,13 +4,17 @@ At 1024 PEs a block uses a dozen PEs, so the step-[2] tie set is mostly
 idle PEs and every random tie-break draws from it.  The digests below
 were captured before per-PE schedule state became sparse; any drift in
 tie order, RNG draws or lookahead diversion shows up here on both
-backends, which a python-vs-numpy comparison alone would miss.
+paths, which a python-vs-numpy comparison alone would miss.  The
+python path runs with numpy patched out; the numpy path lowers every
+kernel threshold to 1, so each pin also runs through the ``assign``,
+``genvec`` and ``batch`` kernels.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.obs.metrics import collect_metrics
@@ -61,25 +65,45 @@ def wide_point(name: str) -> ExperimentPoint:
     )
 
 
+def use_path(request, backend: str) -> None:
+    """Take the python path (numpy patched out), or engage the numpy
+    kernels on every call, however small."""
+    if backend == "python":
+        request.getfixturevalue("no_numpy")
+        return
+    pytest.importorskip("numpy")
+    monkeypatch = request.getfixturevalue("monkeypatch")
+    for kernel in kernels.THRESHOLDS:
+        monkeypatch.setitem(kernels.THRESHOLDS, kernel, 1)
+
+
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("name", sorted(WIDE_PINS))
-def test_wide_digest_pinned(name, backend, monkeypatch):
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    results = run_corpus(wide_point(name), jobs=1)
+def test_wide_digest_pinned(name, backend, request):
+    use_path(request, backend)
+    with collect_metrics() as metrics:
+        results = run_corpus(wide_point(name), jobs=1)
     assert results_digest(results) == WIDE_PINS[name][3]
+    dispatched = {
+        key.split(".")[2]
+        for key in metrics.as_dict()["counters"]
+        if key.startswith("kernels.calls.") and key.endswith(".numpy")
+    }
+    expected = set()
+    if backend == "numpy":
+        expected = set(kernels.THRESHOLDS)
+        if name == "roundrobin":
+            expected.discard("assign")  # round-robin never runs step [2]
+    assert dispatched == expected
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_wide_digest_pinned_under_cross_checks(backend, monkeypatch):
+def test_wide_digest_pinned_under_cross_checks(backend, request, monkeypatch):
     """Every incremental view, and step [2] and the lookahead divert on
     the path this backend takes (the idle classes on python, the numpy
     kernel on numpy), is checked against its dense reference while the
     pinned digest reproduces."""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    use_path(request, backend)
     monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
     monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
     with collect_metrics() as metrics:

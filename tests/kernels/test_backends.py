@@ -1,14 +1,15 @@
-"""Backend dispatch policy and python/numpy parity (:mod:`repro.kernels`).
+"""Kernel dispatch rule and python/numpy parity (:mod:`repro.kernels`).
 
 The pure-python loops are the specification; the numpy kernels are
 accelerators that must be bit-identical.  These tests pin
 
-* the ``REPRO_BACKEND`` dispatch contract (python / numpy / auto, the
-  per-kernel size thresholds, check-mode override, invalid values);
-* corpus ``results_digest`` parity between backends -- with
-  ``REPRO_CHECK_KERNELS=1`` forcing every kernel on (so small corpora
-  actually exercise them) and with ``REPRO_CHECK_INCREMENTAL=1``
-  layered on top;
+* the dispatch rule: a kernel engages when numpy imports and the call
+  reaches its size threshold, or check mode is on; there is no
+  user-set backend;
+* corpus ``results_digest`` parity between the python path (numpy
+  patched out) and the kernels -- with ``REPRO_CHECK_KERNELS=1``
+  forcing every kernel on (so small corpora actually exercise them)
+  and with ``REPRO_CHECK_INCREMENTAL=1`` layered on top;
 * that such a corpus run reaches every kernel :data:`THRESHOLDS` names.
 """
 
@@ -24,6 +25,8 @@ from repro.obs.metrics import collect_metrics
 from repro.perf.parallel import results_digest
 from repro.synth.generator import GeneratorConfig
 
+from tests.conftest import without_numpy
+
 
 def corpus_digest(n_pes=8, n_statements=24, count=6, master_seed=11):
     point = ExperimentPoint(
@@ -36,64 +39,40 @@ def corpus_digest(n_pes=8, n_statements=24, count=6, master_seed=11):
 
 
 class TestDispatchPolicy:
-    def test_python_setting_never_engages(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        for kernel in kernels.THRESHOLDS:
-            assert not kernels.use_numpy(kernel, 10**6)
+    def test_without_numpy_no_kernel_engages(self, monkeypatch, no_numpy):
+        for check in ("0", "1"):
+            monkeypatch.setenv("REPRO_CHECK_KERNELS", check)
+            for kernel in kernels.THRESHOLDS:
+                assert not kernels.use_numpy(kernel, 10**6)
         assert kernels.resolved_backend() == "python"
+        assert kernels.kernels_info()["resolved"] == "python"
 
-    @pytest.mark.parametrize("setting", ["auto", "numpy"])
-    def test_thresholds_gate_every_backend(self, monkeypatch, setting):
-        monkeypatch.setenv("REPRO_BACKEND", setting)
+    def test_thresholds_gate_each_kernel(self, monkeypatch):
+        pytest.importorskip("numpy")
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
         for kernel, threshold in kernels.THRESHOLDS.items():
             assert not kernels.use_numpy(kernel, threshold - 1)
-            assert kernels.use_numpy(kernel, threshold) == kernels.have_numpy()
+            assert kernels.use_numpy(kernel, threshold)
+        assert kernels.resolved_backend() == "numpy"
 
     def test_check_mode_overrides_thresholds(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         for kernel in kernels.THRESHOLDS:
-            assert kernels.use_numpy(kernel, 1) == kernels.have_numpy()
+            assert kernels.use_numpy(kernel, 1)
 
-    def test_empty_setting_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "")
-        assert kernels.backend_setting() == "auto"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert kernels.backend_setting() == "auto"
+    @pytest.mark.parametrize(
+        "command", [["perf"], ["experiment", "fig15"]], ids=["perf", "experiment"]
+    )
+    def test_backend_flag_is_an_argparse_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--count", "1", "--backend", "python"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            kernels.backend_setting()
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            kernels.use_numpy("assign", 10**6)
-
-    def test_invalid_backend_is_cli_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        rc = main(
-            ["perf", "--count", "1", "--jobs", "1", "-o", "-",
-             "--no-trajectory"]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("repro-sbm: error:")
-
-    def test_cli_backend_flag_scopes_environment(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        rc = main(
-            ["perf", "--count", "1", "--jobs", "1", "--backend", "python",
-             "-o", "-", "--no-trajectory"]
-        )
-        assert rc == 0
-        assert '"setting": "python"' in capsys.readouterr().out
-        import os
-
-        assert "REPRO_BACKEND" not in os.environ  # scope was restored
-
-    def test_kernels_info_shape(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_kernels_info_shape(self):
         info = kernels.kernels_info()
-        assert info["setting"] == "auto"
+        assert set(info) == {"resolved", "checking", "thresholds", "calls"}
         assert info["resolved"] in ("python", "numpy")
         assert info["thresholds"] == kernels.THRESHOLDS
         assert isinstance(info["calls"], dict)
@@ -108,7 +87,7 @@ class TestDispatchPolicy:
         assert calls["kernels.calls.assign.numpy"] == 2
         assert calls["kernels.calls.assign.python"] == 1
         counters = metrics.as_dict()["counters"]
-        assert counters["kernels.backend.numpy"] == 2
+        assert counters["kernels.calls.assign.numpy"] == 2
         kernels.reset_calls()
         assert kernels.kernels_info()["calls"] == {}
 
@@ -123,15 +102,14 @@ class TestDispatchPolicy:
 
 
 class TestDigestParity:
-    """Scheduling results must be bit-identical across backends."""
+    """Scheduling results must be bit-identical with and without numpy."""
 
     def test_forced_kernels_match_python(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        baseline = corpus_digest()
+        with without_numpy():
+            baseline = corpus_digest()
         # Check mode forces every kernel on AND cross-checks each call
         # against the python implementation in-line.
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         with collect_metrics() as metrics:
             checked = corpus_digest()
@@ -147,7 +125,6 @@ class TestDigestParity:
         # entry missing from the dispatched set is a stale threshold,
         # and an extra kernel is one the table does not list.
         pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         kernels.reset_calls()
         corpus_digest()
@@ -162,9 +139,8 @@ class TestDigestParity:
         self, monkeypatch
     ):
         pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        baseline = corpus_digest(n_statements=30, count=4, master_seed=3)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        with without_numpy():
+            baseline = corpus_digest(n_statements=30, count=4, master_seed=3)
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
         assert (
@@ -179,9 +155,8 @@ class TestDigestParity:
         pytest.importorskip("numpy")
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
         monkeypatch.setitem(kernels.THRESHOLDS, "assign", 4)
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        baseline = corpus_digest(n_pes=128, n_statements=40, count=4)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        with without_numpy():
+            baseline = corpus_digest(n_pes=128, n_statements=40, count=4)
         kernels.reset_calls()
         assert corpus_digest(n_pes=128, n_statements=40, count=4) == baseline
         calls = kernels.kernels_info()["calls"]

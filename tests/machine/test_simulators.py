@@ -18,7 +18,7 @@ from repro.machine.durations import (
 )
 from repro.machine.program import BarrierRef, MachineOp, MachineProgram
 from repro.machine.dbm import simulate_dbm
-from repro.machine.sbm import SBMSimulator, simulate_sbm
+from repro.machine.sbm import simulate_sbm
 from repro.machine.trace import DeadlockError
 from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
@@ -76,11 +76,6 @@ class TestBasicExecution:
         t1 = simulate_sbm(program, UniformSampler(), rng=9)
         t2 = simulate_sbm(program, UniformSampler(), rng=9)
         assert t1.durations == t2.durations and t1.makespan == t2.makespan
-
-    def test_run_many(self):
-        sim = SBMSimulator(simple_two_pe_program())
-        traces = sim.run_many(5, UniformSampler(), seed=1)
-        assert len(traces) == 5
 
 
 class TestSBMFifoSemantics:

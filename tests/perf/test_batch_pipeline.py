@@ -1,7 +1,7 @@
 """The one corpus driver: digest parity and padded-tensor edges.
 
 Every way :func:`run_corpus` can run a point -- in-process or on a fork
-pool, with full or compact results, on either backend, filtered or not,
+pool, with full or compact results, with or without numpy, filtered or not,
 at any chunk size -- must be *bit-identical* to the per-case reference
 loop below (``generate_cases`` + ``schedule_dag``).  The padded 3-D
 tensors of :mod:`repro.kernels.batch` are additionally pinned at the
@@ -21,6 +21,8 @@ from repro.perf import parallel
 from repro.perf.parallel import CompactResult, fork_available, results_digest
 from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
+
+from tests.conftest import without_numpy
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
@@ -54,9 +56,8 @@ def reject_everything(case) -> bool:  # module-level: must cross processes
 
 
 def reference_digest(point, accept=None) -> str:
-    """The specification: one case at a time on the python backend."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_BACKEND", "python")
+    """The specification: one case at a time on the python path."""
+    with without_numpy(), pytest.MonkeyPatch.context() as mp:
         mp.delenv("REPRO_CHECK_KERNELS", raising=False)
         cases = generate_cases(
             point.generator,
@@ -85,16 +86,19 @@ def reference():
     }
 
 
-def use_backend(monkeypatch, backend):
-    """Select a backend.  On numpy the vectorized generator and the
-    batched scheduler run on every chunk, however small."""
-    if backend == "numpy" and not kernels.have_numpy():
-        pytest.skip("numpy not available")
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def use_backend(request, backend):
+    """Select a path.  python runs with numpy patched out; on numpy the
+    vectorized generator and the batched scheduler run on every chunk,
+    however small."""
+    monkeypatch = request.getfixturevalue("monkeypatch")
     monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
-    if backend == "numpy":
-        monkeypatch.setitem(kernels.THRESHOLDS, "genvec", 1)
-        monkeypatch.setitem(kernels.THRESHOLDS, "batch", 1)
+    if backend == "python":
+        request.getfixturevalue("no_numpy")
+        return
+    if not kernels.have_numpy():
+        pytest.skip("numpy not available")
+    monkeypatch.setitem(kernels.THRESHOLDS, "genvec", 1)
+    monkeypatch.setitem(kernels.THRESHOLDS, "batch", 1)
 
 
 def mode_digest(point, mode, accept=None) -> str:
@@ -116,17 +120,17 @@ class TestDigestParityMatrix:
     )
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("mode", list(MODES))
-    def test_matches_reference(
-        self, monkeypatch, reference, mode, backend, accept
-    ):
-        use_backend(monkeypatch, backend)
+    def test_matches_reference(self, request, reference, mode, backend, accept):
+        use_backend(request, backend)
         assert mode_digest(batch_point(), mode, accept) == reference[accept]
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_batched_vs_unbatched(self, monkeypatch, reference, backend):
+    def test_batched_vs_unbatched(
+        self, request, monkeypatch, reference, backend
+    ):
         """In-process chunks of 1 and 3 seeds (a ragged tail) match the
         per-case reference."""
-        use_backend(monkeypatch, backend)
+        use_backend(request, backend)
         for chunk in (1, 3):
             monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
             assert mode_digest(batch_point(), "serial") == reference[None]
@@ -134,19 +138,19 @@ class TestDigestParityMatrix:
     @needs_fork
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_parallel_matches_batched_serial(
-        self, monkeypatch, reference, backend
+        self, request, monkeypatch, reference, backend
     ):
         """Pool chunks of 1 and 3 seeds match the reference, full and
         compact."""
-        use_backend(monkeypatch, backend)
+        use_backend(request, backend)
         for chunk in (1, 3):
             monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
             for mode in ("jobs2", "jobs2-compact"):
                 assert mode_digest(batch_point(), mode) == reference[None]
 
-    def test_batched_filtered_corpus(self, monkeypatch, reference):
+    def test_batched_filtered_corpus(self, request, monkeypatch, reference):
         """A filter keeps cases by position at every chunk size."""
-        use_backend(monkeypatch, "numpy" if kernels.have_numpy() else "python")
+        use_backend(request, "numpy" if kernels.have_numpy() else "python")
         modes = ["serial", "jobs2"] if fork_available() else ["serial"]
         for chunk in (1, 3):
             monkeypatch.setattr(parallel, "DEFAULT_BATCH", chunk)
@@ -180,7 +184,6 @@ class TestDigestParityMatrix:
     def test_check_mode_batched(self, monkeypatch):
         """Check mode forces the kernels on and cross-checks per case."""
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         point = batch_point(count=6)
         with obs_metrics.collect_metrics() as metrics:
             digest = results_digest(run_corpus(point, jobs=1))
@@ -193,8 +196,7 @@ class TestDigestParityMatrix:
 
 class TestBatchedScheduling:
     @needs_numpy
-    def test_schedule_cases_matches_schedule_dag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_schedule_cases_matches_schedule_dag(self):
         from repro.core.batchrun import schedule_cases
         from repro.synth.corpus import compile_case
 
@@ -213,7 +215,6 @@ class TestBatchedScheduling:
 
     def test_small_chunk_falls_back_to_python(self, monkeypatch):
         """Below the batch threshold the per-case scheduler runs."""
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
         from repro.core.batchrun import schedule_cases
         from repro.synth.corpus import compile_case
@@ -262,9 +263,8 @@ class TestWordEdges:
             assert rows[p] == expected
 
     @pytest.mark.parametrize("n_statements", [60, 63, 66])
-    def test_mixed_widths_share_one_tensor(self, monkeypatch, n_statements):
+    def test_mixed_widths_share_one_tensor(self, n_statements):
         """Cases whose node counts straddle a word edge batch together."""
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         from repro.core.batchrun import schedule_cases
         from repro.synth.corpus import compile_case
 
@@ -287,8 +287,7 @@ class TestWordEdges:
 @needs_fork
 @needs_numpy
 class TestCompactResults:
-    def test_aggregation_reads_compact_results(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_aggregation_reads_compact_results(self):
         from repro.metrics.stats import aggregate_results
 
         point = batch_point(count=12)

@@ -41,10 +41,9 @@ class TestBenchGenerate:
         assert record["python_s"] > 0 and record["vectorized_s"] > 0
         assert record["ratio"] > 0
 
-    def test_python_backend_refused(self, monkeypatch):
+    def test_python_backend_refused(self, no_numpy):
         # Comparing python against itself would gate nothing; the
         # bench must refuse rather than silently pass or fail.
-        monkeypatch.setenv("REPRO_BACKEND", "python")
         kernels.reset_calls()
         with pytest.raises(RuntimeError, match="python path"):
             bench_generate(preset="scale1024", count=16, reps=1)

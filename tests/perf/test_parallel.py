@@ -208,7 +208,6 @@ class TestCheckMode:
     @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
     def test_workers_cross_check_genvec(self, monkeypatch, compact):
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         # Fork workers inherit the patch.
         monkeypatch.setattr(
             genvec,
@@ -220,7 +219,6 @@ class TestCheckMode:
 
     def test_clean_run_tallies_genvec(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         point = small_point(count=16)
         with obs_metrics.collect_metrics() as metrics:
             parallel_digest = results_digest(run_corpus(point, jobs=2))

@@ -874,3 +874,75 @@ class TestWatchExplain:
         path = self._series_with_profiles(tmp_path, slow=False)
         assert main(["watch", "--trajectory", path, "--explain"]) == 0
         assert "nothing regressed" in capsys.readouterr().out
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize("outer", [None, "3"])
+    def test_cli_jobs_flag_scopes_environment(self, monkeypatch, capsys, outer):
+        import json
+        import os
+
+        if outer is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", outer)
+        assert main(
+            ["perf", "--count", "1", "--jobs", "1", "-o", "-",
+             "--no-trajectory"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("\n{\n") + 1:])["jobs"] == 1
+        assert os.environ.get("REPRO_JOBS") == outer  # scope was restored
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    """Every requested output file is written before the first byte of
+    stdout, so a closed pipe fails the command (exit 2) but keeps them."""
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["perf", "--count", "2", "-o", "{report}",
+              "--trajectory", "{trajectory}"], ["report", "trajectory"]),
+            (["simulate", "--pes", "4", "--runs", "1", "--timeline",
+              "{timeline}", "--record", "{record}", "{block}"],
+             ["timeline", "record"]),
+            (["schedule", "--record", "{record}", "{block}"], ["record"]),
+            (["explain", "--record", "{record}", "{block}"], ["record"]),
+            (["watch", "--trajectory", "{series}", "-o", "{report}"],
+             ["report"]),
+        ],
+        ids=["perf", "simulate", "schedule", "explain", "watch"],
+    )
+    def test_files_survive_a_closed_stdout(
+        self, monkeypatch, tmp_path, block_file, argv, files
+    ):
+        import sys
+
+        paths = {
+            name: tmp_path / name
+            for name in ("report", "trajectory", "timeline", "record")
+        }
+        series = tmp_path / "series.jsonl"
+        series.write_text(
+            '{"wall_s": 1.0, "stages": {}, "results_digest": "d", '
+            '"points": []}\n'
+        )
+        argv = [
+            arg.format(block=block_file, series=series, **paths)
+            for arg in argv
+        ]
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(argv) == 2
+        for name in files:
+            assert paths[name].is_file(), name
