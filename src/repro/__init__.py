@@ -81,52 +81,4 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Interval",
-    "ZERO",
-    "BasicBlock",
-    "DEFAULT_TIMING",
-    "InstructionDAG",
-    "Opcode",
-    "TimingModel",
-    "TupleProgram",
-    "compile_block",
-    "compile_source",
-    "generate_tuples",
-    "interpret",
-    "optimize",
-    "parse_block",
-    "BenchmarkCase",
-    "GeneratorConfig",
-    "generate_block",
-    "generate_corpus",
-    "Schedule",
-    "ScheduleResult",
-    "SchedulerConfig",
-    "SyncCounts",
-    "schedule_dag",
-    "Barrier",
-    "BarrierDag",
-    "BarrierMask",
-    "DominatorTree",
-    "ExecutionTrace",
-    "MachineProgram",
-    "UniformSampler",
-    "VLIWSchedule",
-    "simulate_conventional_mimd",
-    "simulate_dbm",
-    "simulate_sbm",
-    "vliw_schedule",
-    "SyncFractions",
-    "aggregate_results",
-    "fractions_of",
-    "render_barrier_dag",
-    "render_embedding",
-    "render_gantt",
-    "analyze_schedule",
-    "load_program",
-    "program_from_json",
-    "program_to_json",
-    "save_program",
-    "__version__",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])

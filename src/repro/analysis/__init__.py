@@ -11,4 +11,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = ["BarrierStats", "UtilizationStats", "ScheduleReport", "analyze_schedule"]
+__all__ = sorted(_EXPORTS)

@@ -24,14 +24,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Barrier",
-    "BarrierDag",
-    "BarrierEdge",
-    "DominatorTree",
-    "BarrierMask",
-    "PathExplosionError",
-    "all_paths",
-    "k_longest_max_paths",
-    "longest_min_path_with_forced_max",
-]
+__all__ = sorted(_EXPORTS)

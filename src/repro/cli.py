@@ -1174,17 +1174,19 @@ def _run_observed(args, run) -> int:
     """Run a handler under the observation outputs its flags request.
 
     ``--trace FILE`` writes a span trace; ``--profile FILE`` writes
-    folded flamegraph stacks and collects the per-kernel/memory/GC
-    resource profile.  Both share ONE tracer -- collectors nest
-    innermost-wins, so stacking a second ``collect_trace`` would starve
-    the outer one.  Output paths are preflighted (bad paths exit 2
-    before any work); the files are written only on success, a failing
-    run keeps the plain error path."""
+    folded flamegraph stacks and collects a metrics registry for the
+    per-kernel/memory/GC resource profile.  Both share ONE tracer --
+    collectors nest innermost-wins, so stacking a second
+    ``collect_trace`` would starve the outer one.  Output paths are
+    preflighted (bad paths exit 2 before any work); the files are
+    written only on success, a failing run keeps the plain error
+    path."""
     trace_path = getattr(args, "trace", None)
     profile_path = getattr(args, "profile", None)
     if not trace_path and not profile_path:
         return run(args)
-    from repro.obs.prof import collect_profile, write_folded
+    from repro.obs.metrics import collect_metrics
+    from repro.obs.prof import profile_block, render_profile, write_folded
     from repro.obs.spans import DISABLED, collect_trace
 
     if DISABLED:
@@ -1195,8 +1197,8 @@ def _run_observed(args, run) -> int:
         _preflight_output(trace_path, "trace")
     if profile_path:
         _preflight_output(profile_path, "profile")
-    profiling = collect_profile() if profile_path else nullcontext(None)
-    with collect_trace() as tracer, profiling as prof:
+    profiling = collect_metrics() if profile_path else nullcontext(None)
+    with collect_trace() as tracer, profiling as registry:
         status = run(args)
     if trace_path:
         from repro.obs.export import write_trace
@@ -1217,10 +1219,11 @@ def _run_observed(args, run) -> int:
         )
         # ``perf`` prints its own profile block from the report; for the
         # other subcommands the collected accounting surfaces here.
-        if prof is not None and args.command != "perf" and (
-            prof.kernels or prof.stage_rss or prof.bytes
+        profile = profile_block(registry)
+        if args.command != "perf" and (
+            profile["kernels"] or profile["stage_rss"] or profile["bytes"]
         ):
-            print(prof.render(), file=sys.stderr)
+            print(render_profile(profile), file=sys.stderr)
     return status
 
 

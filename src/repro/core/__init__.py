@@ -47,39 +47,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Interval",
-    "ZERO",
-    "interval_max",
-    "interval_sum",
-    "compute_heights",
-    "critical_path_nodes",
-    "order_nodes",
-    "ListPolicy",
-    "LookaheadPolicy",
-    "RoundRobinPolicy",
-    "make_policy",
-    "Item",
-    "Schedule",
-    "BarrierInserter",
-    "EdgeResolution",
-    "ResolutionKind",
-    "TimingQuantities",
-    "classify_edge",
-    "timing_quantities",
-    "find_merge_candidate",
-    "merge_new_barrier",
-    "ScheduleError",
-    "Violation",
-    "check_structure",
-    "find_violations",
-    "repair_schedule",
-    "ScheduleResult",
-    "SchedulerConfig",
-    "SyncCounts",
-    "schedule_dag",
-    "SyncEliminationResult",
-    "compute_sync_bounds",
-    "eliminate_directed_syncs",
-    "simulate_directed",
-]
+__all__ = sorted(_EXPORTS)

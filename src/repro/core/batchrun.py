@@ -182,9 +182,6 @@ def _batched_finalize(built, configs, reg):
     for i, ((schedule, _inserter, _order), config) in enumerate(
         zip(built, configs)
     ):
-        if not config.validate:
-            finals[i] = (0, 0)
-            continue
         if not config.merging_enabled:
             finals[i] = finalize_schedule(
                 schedule, config.insertion, merge=False

@@ -69,8 +69,6 @@ class SchedulerConfig:
     barrier_latency: int = 0
     #: None -> merge iff machine == "sbm" (the paper merges only for SBM).
     merge_barriers: bool | None = None
-    #: Re-validate every edge on the finished schedule (cheap; keep on).
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.n_pes < 1:
@@ -172,12 +170,9 @@ def schedule_dag(
     config = config or SchedulerConfig()
     schedule, inserter, order = _list_schedule(dag, config, heights)
 
-    repairs = 0
-    final_merges = 0
-    if config.validate:
-        repairs, final_merges = finalize_schedule(
-            schedule, config.insertion, merge=config.merging_enabled
-        )
+    repairs, final_merges = finalize_schedule(
+        schedule, config.insertion, merge=config.merging_enabled
+    )
 
     return _assemble_result(
         schedule, config, inserter, order, repairs, final_merges

@@ -6,10 +6,13 @@ starts from the nearest common dominator of ``LastBar(g)`` and
 ``LastBar(i-)`` in the barrier dag *of that moment*, and a barrier
 inserted later can open a path to ``LastBar(i-)`` that bypasses it.  The
 nearest common dominator then moves earlier, the bounds accumulate more
-slack, and the proof can fail on the final dag.  Merges are not the
-cause: DBM schedules, which never merge, need as many repairs as SBM
-ones.  So every completed schedule is re-validated edge by edge against
-its *final* barrier dag:
+slack, and the proof can fail on the final dag.  Merges do not set the
+repair count (DBM schedules, which never merge, need as many repairs as
+SBM ones), but they cause almost all the real races among the failed
+proofs: of the flagged edges of unrepaired schedules that raced under
+simulated in-interval durations, all but one came from a merge
+(EXPERIMENTS.md deviation 1).  So every completed schedule is
+re-validated edge by edge against its *final* barrier dag:
 
 * every real node is scheduled exactly once and same-processor edges
   respect stream order;

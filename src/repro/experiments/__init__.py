@@ -70,35 +70,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ExperimentPoint",
-    "run_corpus",
-    "run_point",
-    "sweep",
-    "figure14_scatter",
-    "figure15_statements",
-    "figure16_variables",
-    "figure17_processors",
-    "figure18_vliw",
-    "table1_instruction_mix",
-    "overall_ranges",
-    "merging_experiment",
-    "ablation_round_robin",
-    "ablation_ordering",
-    "ablation_lookahead",
-    "ablation_timing_variation",
-    "secondary_effect",
-    "optimal_vs_conservative",
-    "barrier_cost_experiment",
-    "flow_overhead_experiment",
-    "kernel_suite_experiment",
-    "archive_corpus",
-    "load_archive",
-    "stats_from_archive",
-    "sync_elimination_experiment",
-    "RobustnessResult",
-    "robustness_experiment",
-    "HybridPoint",
-    "HybridResult",
-    "hybrid_experiment",
-]
+__all__ = sorted(_EXPORTS)

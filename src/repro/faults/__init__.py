@@ -42,19 +42,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "FaultPlan",
-    "FaultySampler",
-    "FaultyController",
-    "inflate_dag",
-    "EdgeMargin",
-    "MarginReport",
-    "robustness_margin",
-    "EdgeBlame",
-    "CampaignReport",
-    "campaign_digest",
-    "run_campaign",
-    "HardeningReport",
-    "harden_schedule",
-    "straggler_nodes",
-]
+__all__ = sorted(_EXPORTS)

@@ -44,17 +44,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "FlowProgram",
-    "IfStmt",
-    "WhileStmt",
-    "parse_program",
-    "CFG",
-    "BasicBlockNode",
-    "build_cfg",
-    "run_program",
-    "FlowSchedule",
-    "schedule_program",
-    "FlowTrace",
-    "execute_flow_schedule",
-]
+__all__ = sorted(_EXPORTS)

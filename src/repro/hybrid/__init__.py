@@ -20,10 +20,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "EdgeDemotion",
-    "HybridController",
-    "HybridPlan",
-    "hybrid_program",
-    "hybridize_schedule",
-]
+__all__ = sorted(_EXPORTS)

@@ -50,37 +50,9 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ALU_OPCODES",
-    "DEFAULT_TIMING",
-    "OP_FREQUENCIES",
-    "Opcode",
-    "TimingModel",
-    "Assign",
-    "BasicBlock",
-    "BinOp",
-    "Const",
-    "Expr",
-    "Var",
-    "apply_op",
-    "ParseError",
-    "parse_block",
-    "parse_expr",
-    "Imm",
-    "IRTuple",
-    "Operand",
-    "Ref",
-    "TupleProgram",
-    "generate_tuples",
-    "optimize",
-    "interpret",
-    "ENTRY",
-    "EXIT",
-    "CycleError",
-    "InstructionDAG",
-    "compile_block",
-    "compile_source",
-]
+__all__ = sorted(
+    [*_EXPORTS, "DEFAULT_TIMING", "TimingModel", "compile_block", "compile_source"]
+)
 
 
 def compile_block(

@@ -48,7 +48,6 @@ from repro.obs import prof as obs_prof
 __all__ = [
     "THRESHOLDS",
     "checking",
-    "count",
     "have_numpy",
     "kernels_info",
     "numpy",
@@ -116,30 +115,23 @@ def use_numpy(kernel: str, size: int) -> bool:
     return (checking() or size >= THRESHOLDS[kernel]) and have_numpy()
 
 
-def count(kernel: str, backend: str) -> None:
-    """Record one dispatch decision (module tally + metrics registry)."""
-    key = f"kernels.calls.{kernel}.{backend}"
-    _CALLS[key] = _CALLS.get(key, 0) + 1
-    reg = obs_metrics.current_registry()
-    if reg is not None:
-        reg.inc(key)
-
-
 def timed(kernel: str, backend: str) -> ContextManager[None]:
     """Count one dispatch decision and time the block it guards.
 
-    ``with kernels.timed("assign", "numpy"): ...`` is :func:`count` plus
-    -- when a :func:`repro.obs.prof.collect_profile` subscriber is
-    active -- a wall/CPU timing observation under the key
-    ``<kernel>.<backend>``.  Without a profiler the returned context
-    manager is a shared no-op, so the hot paths stay as cheap as the
-    bare ``count()`` call they replace.
+    ``with kernels.timed("assign", "numpy"): ...`` bumps the module
+    tally and, when a metrics registry is active, the counter
+    ``kernels.calls.<kernel>.<backend>`` and the wall/CPU histograms
+    :mod:`repro.obs.prof` reports as the kernel ``<kernel>.<backend>``.
+    Without a registry the returned context manager is a shared no-op,
+    so the hot paths pay one context-variable lookup.
     """
-    count(kernel, backend)
-    prof = obs_prof.current_profiler()
-    if prof is None:
+    calls = f"kernels.calls.{kernel}.{backend}"
+    _CALLS[calls] = _CALLS.get(calls, 0) + 1
+    reg = obs_metrics.current_registry()
+    if reg is None:
         return obs_prof.UNTIMED
-    return obs_prof.Timer(prof.record_kernel, f"{kernel}.{backend}")
+    reg.inc(calls)
+    return obs_prof.Timer(reg, f"{obs_prof.KERNEL}{kernel}.{backend}")
 
 
 def verify(kernel: str, got: Any, expected: Any) -> None:

@@ -66,9 +66,7 @@ def pack_bitmats(mats: Sequence[Sequence[int]], n_bits: Sequence[int]):
     max_rows = max(sizes, default=0)
     words = max((_n_words(b) for b in n_bits), default=1)
     tensor = np.zeros((len(mats), max_rows, words), dtype=np.uint64)
-    prof = obs_prof.current_profiler()
-    if prof is not None:
-        prof.add_bytes("batch.tensors", tensor.nbytes)
+    obs_prof.add_bytes("batch.tensors", tensor.nbytes)
     nbytes = words * 8
     for c, rows in enumerate(mats):
         if rows:

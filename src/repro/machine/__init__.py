@@ -47,26 +47,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "BimodalSampler",
-    "DurationSampler",
-    "FixedSampler",
-    "MaxSampler",
-    "MinSampler",
-    "UniformSampler",
-    "BarrierRef",
-    "MachineOp",
-    "MachineProgram",
-    "DeadlockError",
-    "ExecutionTrace",
-    "OrderViolation",
-    "simulate_sbm",
-    "simulate_dbm",
-    "VLIWSchedule",
-    "vliw_schedule",
-    "ConventionalMIMDResult",
-    "simulate_conventional_mimd",
-    "ClockedDBM",
-    "ClockedSBM",
-    "run_clocked",
-]
+__all__ = sorted(_EXPORTS)

@@ -16,14 +16,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "SyncFractions",
-    "fractions_of",
-    "CorpusStats",
-    "FractionAggregate",
-    "aggregate_fractions",
-    "aggregate_results",
-    "CaseRobustness",
-    "RobustnessPoint",
-    "aggregate_robustness",
-]
+__all__ = sorted(_EXPORTS)

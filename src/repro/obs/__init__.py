@@ -9,11 +9,12 @@ zero-cost when no subscriber is installed (and all hard-disabled by
   JSONL or Perfetto-loadable Chrome trace JSON
   (:mod:`repro.obs.export`);
 * :mod:`repro.obs.metrics` -- named counters and histograms, merged
-  across the parallel driver's worker processes;
-* :mod:`repro.obs.prof` -- continuous profiling and resource
-  accounting: per-stage and per-kernel wall/CPU timings, peak-RSS and
-  tensor byte accounts, GC pauses, and folded-stack (flamegraph)
-  export from a span trace;
+  across the parallel driver's worker processes; the one accumulator
+  of a run's numbers;
+* :mod:`repro.obs.prof` -- resource accounting into the registry:
+  per-stage and per-kernel wall/CPU timings, peak-RSS and tensor byte
+  accounts, GC pauses, the ``profile`` block derived from them, and
+  folded-stack (flamegraph) export from a span trace;
 * :mod:`repro.obs.progress` -- live heartbeat stream (cases/s, ETA)
   for long corpus runs, rendered as a TTY status line or JSONL;
 * :mod:`repro.obs.provenance` -- machine-readable reasons for every
@@ -22,9 +23,9 @@ zero-cost when no subscriber is installed (and all hard-disabled by
   imported directly, not from this package root, because it depends on
   ``repro.core``).
 
-A fork-pool worker of the corpus driver installs exactly the tracer,
-registry and profiler its parent has active and ships each back with
-its results (:mod:`repro.perf.parallel`); a corpus run under a
+A fork-pool worker of the corpus driver installs exactly the tracer
+and registry its parent has active and ships each back with its
+results (:mod:`repro.perf.parallel`); a corpus run under a
 provenance recorder stays in-process.
 
 :mod:`repro.obs.logging` holds the package's logger hierarchy.
@@ -42,10 +43,6 @@ _EXPORTS = {
     "current_registry": "repro.obs.metrics",
     "inc": "repro.obs.metrics",
     "observe": "repro.obs.metrics",
-    "KernelStat": "repro.obs.prof",
-    "Profiler": "repro.obs.prof",
-    "collect_profile": "repro.obs.prof",
-    "current_profiler": "repro.obs.prof",
     "folded_stacks": "repro.obs.prof",
     "track_gc": "repro.obs.prof",
     "write_folded": "repro.obs.prof",
@@ -74,39 +71,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "HistogramStat",
-    "MetricsRegistry",
-    "collect_metrics",
-    "current_registry",
-    "inc",
-    "observe",
-    "KernelStat",
-    "Profiler",
-    "collect_profile",
-    "current_profiler",
-    "folded_stacks",
-    "track_gc",
-    "write_folded",
-    "JSONLSink",
-    "ProgressMeter",
-    "TTYStatusSink",
-    "collect_progress",
-    "current_meter",
-    "AssignmentDecision",
-    "BarrierDecision",
-    "MergeDecision",
-    "ProvenanceRecorder",
-    "collect_provenance",
-    "current_recorder",
-    "record_assignment",
-    "record_barrier",
-    "record_merge",
-    "Span",
-    "SpanTracer",
-    "TraceEvent",
-    "collect_trace",
-    "current_tracer",
-    "event",
-    "span",
-]
+__all__ = sorted(_EXPORTS)

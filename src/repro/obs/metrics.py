@@ -4,10 +4,12 @@ A :class:`MetricsRegistry` holds named monotonic **counters** (barriers
 inserted, merge verdicts by kind, incremental fast-path vs scratch
 rebuilds, path explosions, ...) and streaming **histograms**
 (count/total/min/max summaries of ready-list sizes, fire-cone sizes,
-engine release widths, ...).
+engine release widths, ...).  It is the one accumulator of a run's
+numbers: the stage and kernel timings, memory and GC accounts of
+:mod:`repro.obs.prof` are ``prof.*`` entries of the same registry.
 
-The lifecycle mirrors the span tracer and the profiler: a subscriber
-installs a registry with :func:`collect_metrics` for a dynamic extent;
+The lifecycle mirrors the span tracer: a subscriber installs a
+registry with :func:`collect_metrics` for a dynamic extent;
 instrumentation points call the module-level :func:`inc` /
 :func:`observe` helpers, which are no-ops without a subscriber; and
 when the parent has a registry active, each worker of the parallel
@@ -55,8 +57,11 @@ class HistogramStat:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # Comparisons, not min()/max(): this runs per timed block.
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def merge_from(self, other: "HistogramStat") -> None:
         if other.count == 0:
@@ -150,7 +155,7 @@ def current_registry() -> MetricsRegistry | None:
 @contextmanager
 def collect_metrics() -> Iterator[MetricsRegistry]:
     """Install a fresh registry for the dynamic extent of the block
-    (innermost-wins nesting, like ``collect_profile``)."""
+    (innermost-wins nesting, like ``collect_trace``)."""
     reg = MetricsRegistry()
     token = _registry.set(reg)
     try:
@@ -178,7 +183,7 @@ def add_to_current(data: "MetricsRegistry | Mapping") -> None:
     """Fold a shipped registry into the active one, if any.
 
     The parallel corpus driver calls this in the parent with each worker
-    chunk's metrics dict, exactly like ``prof.add_to_current``.
+    chunk's metrics dict.
     """
     reg = current_registry()
     if reg is not None:

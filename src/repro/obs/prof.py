@@ -1,22 +1,27 @@
-"""Continuous profiling and resource accounting for the pipeline.
+"""Resource accounting for the pipeline: timings, memory, GC, flame graphs.
 
-The metrics registry (:mod:`repro.obs.metrics`) counts *how often* each
-kernel backend ran; this module records *how long* and *how much
-memory*.  A :class:`Profiler` accumulates five resource families:
+The metrics registry (:mod:`repro.obs.metrics`) counts *how often*
+things happen; this module records *how long* and *how much memory*
+into the same registry, under entry names it owns, and derives a perf
+record's ``profile`` block back from them (:func:`profile_block`):
 
-* **stage timings** -- per pipeline stage (generate / schedule / insert
-  / merge / simulate) wall/CPU summaries, recorded by
-  :func:`repro.perf.timers.stage`; ``repro-sbm perf`` derives its
-  record's ``stages`` block from them;
-* **kernel timings** -- per ``<kernel>.<backend>`` wall/CPU summaries,
-  recorded at the :func:`repro.kernels.timed` dispatch boundary, so a
-  perf report can say "``batch.numpy`` cost 4.1s over 35 calls";
-* **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``),
-  per-stage RSS growth sampled by :func:`repro.perf.timers.stage`, and
-  explicit byte accounts for the big allocations (padded batch
-  tensors, the vectorized generator's drawn arrays);
-* **GC pauses** -- count, total pause time, and objects collected,
-  captured by :func:`track_gc` via ``gc.callbacks`` inside
+* **stage timings** -- wall and CPU seconds per pipeline stage
+  (generate / schedule / insert / merge / simulate), recorded by
+  :func:`repro.perf.timers.stage` as the histograms
+  ``prof.stage.<stage>.wall_s`` and ``.cpu_s``;
+* **kernel timings** -- the same per ``<kernel>.<backend>``
+  (``prof.kernel.<kernel>.<backend>.wall_s`` / ``.cpu_s``), recorded at
+  the :func:`repro.kernels.timed` dispatch boundary, so a perf report
+  can say "``batch.numpy`` cost 4.1s over 35 calls";
+* **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``;
+  histogram ``prof.peak_rss``, whose max is the peak), per-stage RSS
+  growth sampled by ``stage()`` (counters ``prof.stage_rss.<stage>``),
+  and explicit byte accounts for the big allocations, padded batch
+  tensors and the vectorized generator's drawn arrays (counters
+  ``prof.bytes.<account>``, fed by :func:`add_bytes`);
+* **GC pauses** -- one ``prof.gc.pause_s`` observation per collection
+  and the objects collected (counter ``prof.gc.collected``), captured
+  by :func:`track_gc` via ``gc.callbacks`` inside
   :func:`repro.perf.gctune.batched_gc`;
 * **folded stacks** -- :func:`folded_stacks` collapses an active span
   tracer's tree into Brendan Gregg's folded-stack text (one
@@ -24,16 +29,12 @@ memory*.  A :class:`Profiler` accumulates five resource families:
   microseconds of *self* time), importable by speedscope and
   ``flamegraph.pl`` alike; ``--profile FILE`` on the CLI writes it.
 
-The lifecycle mirrors the registry exactly: a subscriber installs a
-profiler with :func:`collect_profile` for a dynamic extent
-(innermost-wins nesting); instrumentation points consult
-:func:`current_profiler`, which is ``None`` without a subscriber or
-under ``REPRO_OBS_DISABLE=1``; and profilers collected in worker
-processes ship back as :meth:`Profiler.as_dict` payloads folded into
-the parent with :func:`add_to_current`.  Every merge is associative
-and commutative (sums, or max for peaks), so parent totals do not
-depend on worker completion order.  Profiling is observation only:
-``results_digest`` is bit-identical with a profiler installed or not.
+Everything records into the active registry (``collect_metrics``) and
+nothing without one, or under ``REPRO_OBS_DISABLE=1``.  Pool workers
+ship these entries home inside their registry, whose merge sums counts
+and totals and max-merges maxima, so the derived block does not depend
+on worker completion order.  Profiling is observation only:
+``results_digest`` is bit-identical with a registry installed or not.
 """
 
 from __future__ import annotations
@@ -43,26 +44,45 @@ import resource
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from repro.obs.spans import DISABLED, SpanTracer
+from repro.obs.metrics import MetricsRegistry, current_registry
+from repro.obs.spans import SpanTracer
 
 __all__ = [
-    "KernelStat",
-    "Profiler",
     "Timer",
     "UNTIMED",
-    "add_to_current",
-    "collect_profile",
-    "current_profiler",
+    "add_bytes",
     "folded_stacks",
+    "metrics_block",
+    "profile_block",
+    "render_profile",
     "rss_bytes",
+    "sample_rss",
     "track_gc",
     "write_folded",
 ]
+
+#: Every registry entry this module owns starts with this prefix.
+PREFIX = "prof."
+#: ``<STAGE><stage>.wall_s`` / ``.cpu_s`` histograms.
+STAGE = "prof.stage."
+#: ``<KERNEL><kernel>.<backend>.wall_s`` / ``.cpu_s`` histograms.
+KERNEL = "prof.kernel."
+#: ``<STAGE_RSS><stage>`` counters: summed positive peak-RSS growth.
+STAGE_RSS = "prof.stage_rss."
+#: ``<BYTES><account>`` counters: explicit allocation footprints.
+BYTES = "prof.bytes."
+#: Histogram of peak-RSS samples; its max is the extent's peak.
+PEAK_RSS = "prof.peak_rss"
+#: Histogram with one observation per cyclic collection.
+GC_PAUSE = "prof.gc.pause_s"
+#: Counter of objects the observed collections freed.
+GC_COLLECTED = "prof.gc.collected"
+
+_WALL = ".wall_s"
+_CPU = ".cpu_s"
 
 
 def rss_bytes() -> int:
@@ -75,227 +95,34 @@ def rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-@dataclass(slots=True)
-class KernelStat:
-    """Streaming wall/CPU summary of one ``<kernel>.<backend>`` pair or
-    one pipeline stage."""
-
-    count: int = 0
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    max_s: float = 0.0
-
-    def observe(self, wall_s: float, cpu_s: float) -> None:
-        self.count += 1
-        self.wall_s += wall_s
-        self.cpu_s += cpu_s
-        if wall_s > self.max_s:
-            self.max_s = wall_s
-
-    def merge_from(self, other: "KernelStat") -> None:
-        self.count += other.count
-        self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
-        if other.max_s > self.max_s:
-            self.max_s = other.max_s
-
-    @property
-    def mean_s(self) -> float:
-        return self.wall_s / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "max_s": self.max_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "KernelStat":
-        return cls(
-            count=int(data.get("count", 0)),
-            wall_s=float(data.get("wall_s", 0.0)),
-            cpu_s=float(data.get("cpu_s", 0.0)),
-            max_s=float(data.get("max_s", 0.0)),
-        )
+def sample_rss(reg: MetricsRegistry) -> int:
+    """Observe this process's peak RSS into ``reg``; returns it."""
+    peak = rss_bytes()
+    reg.observe(PEAK_RSS, peak)
+    return peak
 
 
-class Profiler:
-    """Resource accounts for one dynamic extent.
-
-    All fields merge associatively and commutatively (:meth:`merge_from`
-    sums, except ``peak_rss`` which max-merges), so worker profiles can
-    be folded into a parent in any completion order.
-    """
-
-    def __init__(self) -> None:
-        #: Pipeline stage name -> timing summary.  Stages nest (``merge``
-        #: inside ``insert`` inside ``schedule``), so they do not sum to
-        #: wall time.
-        self.stages: dict[str, KernelStat] = {}
-        #: ``<kernel>.<backend>`` -> timing summary.
-        self.kernels: dict[str, KernelStat] = {}
-        #: Stage name -> summed positive peak-RSS growth (bytes) across
-        #: that stage's blocks.  ``ru_maxrss`` is a high-water mark, so
-        #: a stage is only charged when it pushed the peak higher.
-        self.stage_rss: dict[str, int] = {}
-        #: Named byte accounts (``batch.tensors``, ``genvec.drawn``) --
-        #: explicit footprints of the allocations RSS deltas attribute
-        #: poorly.
-        self.bytes: dict[str, int] = {}
-        #: Max peak RSS observed across this extent and merged workers.
-        self.peak_rss: int = 0
-        self.gc_pauses: int = 0
-        self.gc_pause_s: float = 0.0
-        self.gc_collected: int = 0
-
-    # -- recording ---------------------------------------------------------
-
-    def record_stage(self, name: str, wall_s: float, cpu_s: float) -> None:
-        _observe(self.stages, name, wall_s, cpu_s)
-
-    def record_kernel(self, key: str, wall_s: float, cpu_s: float) -> None:
-        _observe(self.kernels, key, wall_s, cpu_s)
-
-    def record_stage_rss(self, stage: str, delta: int) -> None:
-        if delta > 0:
-            self.stage_rss[stage] = self.stage_rss.get(stage, 0) + delta
-
-    def add_bytes(self, key: str, n: int) -> None:
-        self.bytes[key] = self.bytes.get(key, 0) + int(n)
-
-    def record_gc_pause(self, pause_s: float, collected: int) -> None:
-        self.gc_pauses += 1
-        self.gc_pause_s += pause_s
-        self.gc_collected += collected
-
-    def sample_rss(self) -> int:
-        """Fold the current peak RSS into the account; returns it."""
-        peak = rss_bytes()
-        if peak > self.peak_rss:
-            self.peak_rss = peak
-        return peak
-
-    # -- merging -----------------------------------------------------------
-
-    def merge_from(self, other: "Profiler | Mapping") -> None:
-        """Fold another profiler (or its :meth:`as_dict` form) into this
-        one.  Associative and commutative."""
-        if isinstance(other, Mapping):
-            other = Profiler.from_dict(other)
-        for mine, theirs in (
-            (self.stages, other.stages),
-            (self.kernels, other.kernels),
-        ):
-            for key, stat in theirs.items():
-                if key not in mine:
-                    mine[key] = KernelStat()
-                mine[key].merge_from(stat)
-        for stage, delta in other.stage_rss.items():
-            self.stage_rss[stage] = self.stage_rss.get(stage, 0) + delta
-        for key, n in other.bytes.items():
-            self.bytes[key] = self.bytes.get(key, 0) + n
-        if other.peak_rss > self.peak_rss:
-            self.peak_rss = other.peak_rss
-        self.gc_pauses += other.gc_pauses
-        self.gc_pause_s += other.gc_pause_s
-        self.gc_collected += other.gc_collected
-
-    def as_dict(self) -> dict:
-        return {
-            "stages": {
-                name: stat.as_dict()
-                for name, stat in sorted(self.stages.items())
-            },
-            "kernels": {
-                key: stat.as_dict()
-                for key, stat in sorted(self.kernels.items())
-            },
-            "stage_rss": dict(sorted(self.stage_rss.items())),
-            "bytes": dict(sorted(self.bytes.items())),
-            "peak_rss": self.peak_rss,
-            "gc": {
-                "pauses": self.gc_pauses,
-                "pause_s": self.gc_pause_s,
-                "collected": self.gc_collected,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Profiler":
-        prof = cls()
-        for name, stat in data.get("stages", {}).items():
-            prof.stages[name] = KernelStat.from_dict(stat)
-        for key, stat in data.get("kernels", {}).items():
-            prof.kernels[key] = KernelStat.from_dict(stat)
-        for stage, delta in data.get("stage_rss", {}).items():
-            prof.stage_rss[stage] = int(delta)
-        for key, n in data.get("bytes", {}).items():
-            prof.bytes[key] = int(n)
-        prof.peak_rss = int(data.get("peak_rss", 0))
-        gc_block = data.get("gc", {})
-        prof.gc_pauses = int(gc_block.get("pauses", 0))
-        prof.gc_pause_s = float(gc_block.get("pause_s", 0.0))
-        prof.gc_collected = int(gc_block.get("collected", 0))
-        return prof
-
-    # -- reporting ---------------------------------------------------------
-
-    def render(self, top: int = 8) -> str:
-        """Human summary: headline, top kernels by wall time, memory."""
-        lines = [
-            f"profile: peak rss {_fmt_bytes(self.peak_rss)}, "
-            f"gc {self.gc_pauses} pauses {self.gc_pause_s:.3f}s "
-            f"({self.gc_collected} collected)"
-        ]
-        ranked = sorted(
-            self.kernels.items(), key=lambda kv: kv[1].wall_s, reverse=True
-        )
-        for key, stat in ranked[:top]:
-            lines.append(
-                f"  kernel {key:<18} {stat.count:>8} calls  "
-                f"wall {stat.wall_s:.3f}s  cpu {stat.cpu_s:.3f}s  "
-                f"max {stat.max_s * 1e3:.3f}ms"
-            )
-        if self.stage_rss:
-            growth = "  ".join(
-                f"{stage} +{_fmt_bytes(delta)}"
-                for stage, delta in sorted(self.stage_rss.items())
-            )
-            lines.append(f"  rss growth: {growth}")
-        if self.bytes:
-            accounts = "  ".join(
-                f"{key} {_fmt_bytes(n)}"
-                for key, n in sorted(self.bytes.items())
-            )
-            lines.append(f"  bytes: {accounts}")
-        return "\n".join(lines)
-
-
-def _observe(
-    table: dict[str, KernelStat], key: str, wall_s: float, cpu_s: float
-) -> None:
-    stat = table.get(key)
-    if stat is None:
-        stat = table[key] = KernelStat()
-    stat.observe(wall_s, cpu_s)
+def add_bytes(account: str, n: int) -> None:
+    """Add ``n`` bytes to a named byte account on the active registry
+    (no-op without one)."""
+    reg = current_registry()
+    if reg is not None:
+        reg.inc(BYTES + account, int(n))
 
 
 class Timer:
-    """Times its block's wall and CPU seconds into a profiler table.
+    """Times its block's wall and CPU seconds into the histograms
+    ``<key>.wall_s`` and ``<key>.cpu_s`` of a registry.
 
-    ``record`` is :meth:`Profiler.record_stage` or
-    :meth:`Profiler.record_kernel`; :func:`repro.perf.timers.stage` and
-    :func:`repro.kernels.timed` are its two users.
+    :func:`repro.perf.timers.stage` (key ``STAGE + stage``) and
+    :func:`repro.kernels.timed` (key ``KERNEL + kernel.backend``) are
+    its two users.
     """
 
-    __slots__ = ("_record", "_key", "_wall0", "_cpu0")
+    __slots__ = ("_reg", "_key", "_wall0", "_cpu0")
 
-    def __init__(
-        self, record: Callable[[str, float, float], None], key: str
-    ) -> None:
-        self._record = record
+    def __init__(self, reg: MetricsRegistry, key: str) -> None:
+        self._reg = reg
         self._key = key
 
     def __enter__(self) -> None:
@@ -304,12 +131,138 @@ class Timer:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         wall = time.perf_counter() - self._wall0
-        self._record(self._key, wall, time.process_time() - self._cpu0)
+        cpu = time.process_time() - self._cpu0
+        self._reg.observe(self._key + _WALL, wall)
+        self._reg.observe(self._key + _CPU, cpu)
         return False
 
 
-#: Shared no-op timer, so a profiler-off path allocates nothing per call.
+#: Shared no-op timer, so a registry-off path allocates nothing per call.
 UNTIMED = nullcontext()
+
+
+@contextmanager
+def track_gc() -> Iterator[None]:
+    """Record cyclic-collector pauses into the active registry.
+
+    Registers a ``gc.callbacks`` hook for the extent; each collection's
+    start/stop pair contributes one pause.  No-op without a registry.
+    """
+    reg = current_registry()
+    if reg is None:
+        yield
+        return
+    start = [0.0]
+
+    def hook(phase: str, info: Mapping) -> None:
+        if phase == "start":
+            start[0] = time.perf_counter()
+        else:
+            reg.observe(GC_PAUSE, time.perf_counter() - start[0])
+            reg.inc(GC_COLLECTED, int(info.get("collected", 0)))
+
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
+
+
+# -- the derived blocks ----------------------------------------------------
+
+
+def _timings(reg: MetricsRegistry, prefix: str) -> dict:
+    """``{key: {count, wall_s, cpu_s, max_s}}`` from the ``<prefix><key>``
+    wall and CPU histograms, sorted by key."""
+    table = {}
+    for name, wall in reg.histograms.items():
+        if name.startswith(prefix) and name.endswith(_WALL):
+            key = name[len(prefix) : -len(_WALL)]
+            table[key] = {
+                "count": wall.count,
+                "wall_s": wall.total,
+                "cpu_s": reg.histograms[prefix + key + _CPU].total,
+                "max_s": wall.max,
+            }
+    return dict(sorted(table.items()))
+
+
+def _counts(reg: MetricsRegistry, prefix: str) -> dict:
+    return {
+        name[len(prefix) :]: n
+        for name, n in sorted(reg.counters.items())
+        if name.startswith(prefix)
+    }
+
+
+def profile_block(reg: MetricsRegistry) -> dict:
+    """A perf record's ``profile`` block from a registry's entries.
+
+    ``stages`` and ``kernels`` map each key to its ``count`` / ``wall_s``
+    / ``cpu_s`` / ``max_s``; ``stage_rss`` and ``bytes`` map names to
+    bytes; ``peak_rss`` is the largest sample; ``gc`` holds ``pauses``,
+    ``pause_s`` and ``collected``.  An empty registry gives empty tables
+    and zeros.
+    """
+    peak = reg.histograms.get(PEAK_RSS)
+    pauses = reg.histograms.get(GC_PAUSE)
+    return {
+        "stages": _timings(reg, STAGE),
+        "kernels": _timings(reg, KERNEL),
+        "stage_rss": _counts(reg, STAGE_RSS),
+        "bytes": _counts(reg, BYTES),
+        "peak_rss": int(peak.max) if peak is not None else 0,
+        "gc": {
+            "pauses": pauses.count if pauses is not None else 0,
+            "pause_s": pauses.total if pauses is not None else 0.0,
+            "collected": reg.counter(GC_COLLECTED),
+        },
+    }
+
+
+def metrics_block(reg: MetricsRegistry) -> dict:
+    """The registry's :meth:`~MetricsRegistry.as_dict` form without the
+    entries :func:`profile_block` reports."""
+    return {
+        kind: {
+            name: value
+            for name, value in table.items()
+            if not name.startswith(PREFIX)
+        }
+        for kind, table in reg.as_dict().items()
+    }
+
+
+def render_profile(profile: Mapping, top: int = 8) -> str:
+    """Human summary of a :func:`profile_block`: headline, the ``top``
+    kernels by wall time, memory."""
+    gc_block = profile["gc"]
+    lines = [
+        f"profile: peak rss {_fmt_bytes(profile['peak_rss'])}, "
+        f"gc {gc_block['pauses']} pauses {gc_block['pause_s']:.3f}s "
+        f"({gc_block['collected']} collected)"
+    ]
+    ranked = sorted(
+        profile["kernels"].items(), key=lambda kv: kv[1]["wall_s"], reverse=True
+    )
+    for key, stat in ranked[:top]:
+        lines.append(
+            f"  kernel {key:<18} {stat['count']:>8} calls  "
+            f"wall {stat['wall_s']:.3f}s  cpu {stat['cpu_s']:.3f}s  "
+            f"max {stat['max_s'] * 1e3:.3f}ms"
+        )
+    if profile["stage_rss"]:
+        growth = "  ".join(
+            f"{stage} +{_fmt_bytes(delta)}"
+            for stage, delta in sorted(profile["stage_rss"].items())
+        )
+        lines.append(f"  rss growth: {growth}")
+    if profile["bytes"]:
+        accounts = "  ".join(
+            f"{key} {_fmt_bytes(n)}" for key, n in sorted(profile["bytes"].items())
+        )
+        lines.append(f"  bytes: {accounts}")
+    return "\n".join(lines)
 
 
 def _fmt_bytes(n: int) -> str:
@@ -319,72 +272,6 @@ def _fmt_bytes(n: int) -> str:
             return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024.0
     return f"{value:.1f} GiB"  # pragma: no cover - loop always returns
-
-
-_profiler: ContextVar[Profiler | None] = ContextVar(
-    "repro_obs_profiler", default=None
-)
-
-
-def current_profiler() -> Profiler | None:
-    """The active profiler, or ``None`` (always ``None`` when
-    ``REPRO_OBS_DISABLE=1``)."""
-    if DISABLED:
-        return None
-    return _profiler.get()
-
-
-@contextmanager
-def collect_profile() -> Iterator[Profiler]:
-    """Install a fresh profiler for the dynamic extent of the block
-    (innermost-wins nesting, like ``collect_metrics``)."""
-    prof = Profiler()
-    token = _profiler.set(prof)
-    try:
-        yield prof
-    finally:
-        if not DISABLED:
-            prof.sample_rss()  # close the extent's peak-RSS account
-        _profiler.reset(token)
-
-
-def add_to_current(data: "Profiler | Mapping") -> None:
-    """Fold a shipped profile into the active one, if any.
-
-    The corpus driver calls this in the parent with each worker chunk's
-    profile dict, exactly like ``metrics.add_to_current``.
-    """
-    prof = current_profiler()
-    if prof is not None:
-        prof.merge_from(data)
-
-
-@contextmanager
-def track_gc() -> Iterator[None]:
-    """Record cyclic-collector pauses into the active profiler.
-
-    Registers a ``gc.callbacks`` hook for the extent; each collection's
-    start/stop pair contributes one pause.  No-op without a profiler.
-    """
-    prof = current_profiler()
-    if prof is None:
-        yield
-        return
-    start = [0.0]
-
-    def hook(phase: str, info: Mapping) -> None:
-        if phase == "start":
-            start[0] = time.perf_counter()
-        else:
-            prof.record_gc_pause(
-                time.perf_counter() - start[0], int(info.get("collected", 0))
-            )
-
-    gc.callbacks.append(hook)
-    try:
-        yield
-    finally:
-        gc.callbacks.remove(hook)
 
 
 # -- folded stacks ---------------------------------------------------------

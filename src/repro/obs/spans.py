@@ -10,7 +10,7 @@ stage* the time went.  Point-in-time occurrences that have no duration
 -- an engine barrier release, a path explosion -- are recorded as
 *instant events*.
 
-Like the profiler, tracing is **opt-in and zero-cost when off**: a
+Like the metrics registry, tracing is **opt-in and zero-cost when off**: a
 subscriber installs a :class:`SpanTracer` with :func:`collect_trace`,
 and every :func:`span` block encountered while it is active records
 into it.  With no subscriber a :func:`span` block costs one
@@ -242,7 +242,7 @@ def collect_trace() -> Iterator[SpanTracer]:
     """Install a fresh tracer for the dynamic extent of the block.
 
     Tracers nest innermost-wins, mirroring
-    :func:`repro.obs.prof.collect_profile`.
+    :func:`repro.obs.metrics.collect_metrics`.
     """
     tracer = SpanTracer()
     token = _tracer.set(tracer)

@@ -4,8 +4,8 @@ The paper's evaluation sweeps 3500+ synthetic basic blocks; this package
 makes that affordable at full scale:
 
 * :mod:`repro.perf.timers` -- the five pipeline stages (generate /
-  schedule / insert / merge / simulate), timed into the active
-  profiler (:attr:`repro.obs.prof.Profiler.stages`);
+  schedule / insert / merge / simulate), timed into the active metrics
+  registry (the ``prof.stage.*`` entries of :mod:`repro.obs.prof`);
 * :mod:`repro.perf.parallel` -- the corpus chunk runner behind
   :func:`~repro.experiments.sweeps.run_corpus`, in-process or on a fork
   pool, bit-identical either way (``--jobs`` / ``REPRO_JOBS``);

@@ -40,9 +40,10 @@ def batched_gc() -> Iterator[None]:
     """Defer cyclic collection while a corpus batch is processed.
 
     Nests cleanly (restores whatever thresholds it found), and is a
-    no-op when the collector is disabled entirely.  When a profiler is
-    active (:func:`repro.obs.prof.collect_profile`) the collections
-    that *do* run inside the batch are recorded as GC pauses.
+    no-op when the collector is disabled entirely.  When a metrics
+    registry is active (:func:`repro.obs.metrics.collect_metrics`) the
+    collections that *do* run inside the batch are recorded as GC
+    pauses (:func:`repro.obs.prof.track_gc`).
     """
     if not gc.isenabled():
         yield

@@ -20,7 +20,7 @@ front end, the way a microbenchmark should:
   any program difference before it ever looks at a ratio.
 
 ``python -m repro.perf.genbench`` runs the gate from CI (see the
-``backend-speed-gate`` job); exit status 1 means the vectorized
+``scale-gates`` job); exit status 1 means the vectorized
 generator lost its edge or, worse, changed a program.
 """
 

@@ -23,10 +23,9 @@ provenance recorder runs the chunks in-process; callers never have to
 care.
 
 **One rule for collectors.**  A pool worker installs exactly the
-collectors its parent has active -- span tracer, metrics registry,
-profiler -- and ships each one's state back with the chunk's results,
-so a parent that collects nothing pays for no collection in its
-workers.
+collectors its parent has active -- span tracer, metrics registry --
+and ships each one's state back with the chunk's results, so a parent
+that collects nothing pays for no collection in its workers.
 
 **Bounded dispatch.**  The driver never has more seeds in flight than
 cases it still needs, so an unfiltered corpus draws exactly ``count``
@@ -50,7 +49,6 @@ from repro.core import batchrun
 from repro.core.scheduler import ScheduleResult, SchedulerConfig, SyncCounts
 from repro.io import result_summary
 from repro.obs import metrics as obs_metrics
-from repro.obs import prof as obs_prof
 from repro.obs.provenance import current_recorder
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
@@ -149,36 +147,32 @@ def _run_worker(point, seeds, accept, compact, collectors):
     collectors.
 
     ``collectors`` says whether the parent has a (tracer, metrics
-    registry, profiler) active.  Fork copied the parent's collectors,
-    and records made into the copies would be lost, so the worker
-    installs a fresh one for each the parent has active and none for
-    the others.  Returns the chunk's results plus each collector's
-    state (``None`` where not installed).
+    registry) active.  Fork copied the parent's collectors, and records
+    made into the copies would be lost, so the worker installs a fresh
+    one for each the parent has active and none for the other.  Returns
+    the chunk's results plus each collector's state (``None`` where not
+    installed).
     """
-    trace, metrics, profile = collectors
+    trace, metrics = collectors
     tracing = collect_trace() if trace else nullcontext()
     counting = obs_metrics.collect_metrics() if metrics else nullcontext()
-    profiling = obs_prof.collect_profile() if profile else nullcontext()
-    # The profiler is installed before run_chunk's batched_gc so that
+    # The registry is installed before run_chunk's batched_gc so that
     # its GC hook finds it.
-    with tracing as tracer, counting as registry, profiling as prof:
+    with tracing as tracer, counting as registry:
         results = run_chunk(point, seeds, accept, compact)
     return results, (
         tracer.export_state() if tracer is not None else None,
         registry.as_dict() if registry is not None else None,
-        prof.as_dict() if prof is not None else None,
     )
 
 
 def _absorb(shipped) -> None:
     """Merge one worker's collector states into the parent's."""
-    trace_state, metrics, profile = shipped
+    trace_state, metrics = shipped
     if trace_state is not None:
         current_tracer().adopt(trace_state)
     if metrics is not None:
         obs_metrics.add_to_current(metrics)
-    if profile is not None:
-        obs_prof.add_to_current(profile)
 
 
 def _poolable(
@@ -234,7 +228,6 @@ def chunk_runner(
     collectors = (
         current_tracer() is not None,
         obs_metrics.current_registry() is not None,
-        obs_prof.current_profiler() is not None,
     )
     # Load numpy (when the backend uses it) before the fork, so the
     # workers inherit it instead of each importing it.

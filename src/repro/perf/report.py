@@ -11,9 +11,10 @@ The workload is deliberately fixed: a ``generator.n_statements`` sweep
 over a mid-size corpus plus one simulation pass, exercising every
 instrumented stage (generate / schedule / insert / merge / simulate).
 The *scheduling results* inside a report are deterministic in the master
-seed; only the timings vary by machine.  The stage timings are the
-run's profile (:attr:`repro.obs.prof.Profiler.stages`), pool workers'
-included.
+seed; only the timings vary by machine.  One metrics registry collects
+the whole run, pool workers' entries included; :mod:`repro.obs.prof`
+derives the record's ``profile`` block from it, and the ``stages``
+block is that profile's stage table.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
 from repro.obs import progress as obs_progress
 from repro.obs.metrics import collect_metrics
-from repro.obs.prof import Profiler, collect_profile
+from repro.obs.prof import metrics_block, profile_block, render_profile
 from repro.obs.runtime import analyze_trace
 from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.parallel import resolve_jobs, results_digest
@@ -74,8 +75,9 @@ SIMULATED_CASES = 10
 #:     (round-robin assignment, the DBM, optimal insertion).
 #: ``scale1024``
 #:     The 1024-PE stress leg on its own: the workload behind the CI
-#:     backend digest gate and machine-width gate
-#:     (:mod:`repro.perf.widthbench`) and the committed scaling record.
+#:     ``scale-gates`` job's kernel-check digest gate and machine-width
+#:     gate (:mod:`repro.perf.widthbench`) and the committed scaling
+#:     record.
 PRESETS: dict[str, tuple[tuple[str, tuple, dict], ...]] = {
     "default": ((PERF_AXIS, PERF_VALUES, {}),),
     "paper3500": (
@@ -143,7 +145,7 @@ class PerfReport:
         profile = d.get("profile")
         if profile and (profile.get("kernels") or profile.get("peak_rss")):
             # An all-zero profile (REPRO_OBS_DISABLE=1) prints nothing.
-            lines.append(Profiler.from_dict(profile).render(top=3))
+            lines.append(render_profile(profile, top=3))
         backend = d.get("backend")
         if backend:
             calls = backend.get("calls", {})
@@ -175,17 +177,16 @@ class PerfReport:
         return "\n".join(lines)
 
 
-def stages_block(prof: Profiler) -> dict:
-    """A record's ``stages`` block from a profile: each stage's wall
-    seconds, plus ``cpu`` seconds for the stages that ran (all zero
-    under ``REPRO_OBS_DISABLE=1``, which leaves the profile empty)."""
+def stages_block(profile: dict) -> dict:
+    """A record's ``stages`` block from its ``profile`` block: each
+    stage's wall seconds, plus ``cpu`` seconds for the stages that ran
+    (all zero under ``REPRO_OBS_DISABLE=1``, which leaves the profile
+    empty)."""
+    ran = profile["stages"]
     block: dict = {
-        name: prof.stages[name].wall_s if name in prof.stages else 0.0
-        for name in STAGES
+        name: ran[name]["wall_s"] if name in ran else 0.0 for name in STAGES
     }
-    block["cpu"] = {
-        name: prof.stages[name].cpu_s for name in STAGES if name in prof.stages
-    }
+    block["cpu"] = {name: ran[name]["cpu_s"] for name in STAGES if name in ran}
     return block
 
 
@@ -313,10 +314,11 @@ def run_perf_report(
     obs_progress.set_total(
         sum(len(leg_values) for _, leg_values, _ in legs) * count + sim_count
     )
-    # The profiler is always on for a perf run: its per-kernel timings
-    # and memory accounts go into the report (and, trimmed, into the
-    # trajectory so ``watch --explain`` can attribute regressions).
-    with collect_metrics() as metrics, collect_profile() as prof:
+    # The registry is always on for a perf run: besides its counters,
+    # its per-stage and per-kernel timings and memory accounts go into
+    # the report (and, trimmed, into the trajectory so ``watch
+    # --explain`` can attribute regressions).
+    with collect_metrics() as registry:
         sim_base = base
         for leg_index, (axis, leg_values, overrides) in enumerate(legs):
             point = base
@@ -338,7 +340,8 @@ def run_perf_report(
             # imbalance) into the report's metrics block.
             analyze_trace(program, trace)
     wall = time.perf_counter() - start
-    merged = metrics.as_dict()
+    profile = profile_block(registry)
+    merged = metrics_block(registry)
     # Pool workers count their dispatches into the merged metrics, not
     # into this process's module tally, so the report reads the former.
     backend = kernels.kernels_info()
@@ -395,9 +398,9 @@ def run_perf_report(
             if wall
             else 0.0
         ),
-        "stages": stages_block(prof),
+        "stages": stages_block(profile),
         "metrics": merged,
-        "profile": prof.as_dict(),
+        "profile": profile,
         "results_digest": results_digest(sim_results),
         "points": points,
     }

@@ -9,17 +9,18 @@ The pipeline has five instrumented stages:
 ``simulate``   cycle-accurate machine execution
 
 A :func:`stage` block records into the active collectors: its wall and
-CPU seconds and its peak-RSS growth into the
-:class:`repro.obs.prof.Profiler` (``Profiler.stages``), and a span of
-the same name into the :class:`repro.obs.spans.SpanTracer`.  With
-neither installed a block costs two context-variable lookups, so the
-hot paths stay instrumented unconditionally; under
-``REPRO_OBS_DISABLE=1`` it records nothing.
+CPU seconds, peak RSS and peak-RSS growth into the metrics registry,
+under the ``prof.*`` names :mod:`repro.obs.prof` owns and derives a
+perf record's ``stages`` and ``profile`` blocks from, and a span of the
+same name into the :class:`repro.obs.spans.SpanTracer`.  With neither
+installed a block costs two context-variable lookups, so the hot paths
+stay instrumented unconditionally; under ``REPRO_OBS_DISABLE=1`` it
+records nothing.
 
 Stages nest (``merge`` time is part of ``insert``, which is part of
 ``schedule``), so the stage times do not sum to wall time.  Pool
-workers of the corpus driver ship their profile, stage times included,
-back to the parent (see :mod:`repro.perf.parallel`).
+workers of the corpus driver ship their registry, stage times
+included, back to the parent (see :mod:`repro.perf.parallel`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.obs.prof import UNTIMED, Timer, current_profiler
+from repro.obs.metrics import current_registry
+from repro.obs.prof import STAGE, STAGE_RSS, UNTIMED, Timer, rss_bytes, sample_rss
 from repro.obs.spans import current_tracer
 
 __all__ = ["STAGES", "stage"]
@@ -38,7 +40,7 @@ STAGES = ("generate", "schedule", "insert", "merge", "simulate")
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
-    """Time the block under ``name`` into the active profiler and open a
+    """Time the block under ``name`` into the active registry and open a
     span of that name under the active tracer (no-op without either).
 
     ``name`` must be one of :data:`STAGES` -- an unknown name raises
@@ -46,18 +48,22 @@ def stage(name: str) -> Iterator[None]:
     """
     if name not in STAGES:
         raise ValueError(f"unknown timing stage {name!r}")
-    prof = current_profiler()
+    reg = current_registry()
     tracer = current_tracer()
-    if prof is None and tracer is None:
+    if reg is None and tracer is None:
         yield
         return
     sid = tracer.open(name) if tracer is not None else None
-    rss0 = prof.sample_rss() if prof is not None else 0
+    rss0 = rss_bytes() if reg is not None else 0
     try:
-        with Timer(prof.record_stage, name) if prof is not None else UNTIMED:
+        with Timer(reg, STAGE + name) if reg is not None else UNTIMED:
             yield
     finally:
-        if prof is not None:
-            prof.record_stage_rss(name, prof.sample_rss() - rss0)
+        if reg is not None:
+            # ru_maxrss is a high-water mark: a stage is charged only
+            # when it pushed the peak higher.
+            grown = sample_rss(reg) - rss0
+            if grown > 0:
+                reg.inc(STAGE_RSS + name, grown)
         if tracer is not None:
             tracer.close(sid)

@@ -18,7 +18,7 @@ not the machine width.  This module measures that property end to end:
   narrow machine has (the narrow run would then do different work).
 
 ``python -m repro.perf.widthbench`` runs the gate from CI (see the
-``backend-speed-gate`` job); exit status 1 means the wide machine costs
+``scale-gates`` job); exit status 1 means the wide machine costs
 more than the ratio allows.
 """
 

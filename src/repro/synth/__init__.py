@@ -19,12 +19,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "GeneratorConfig",
-    "generate_block",
-    "BenchmarkCase",
-    "generate_cases",
-    "generate_corpus",
-    "FlowGeneratorConfig",
-    "generate_flow_program",
-]
+__all__ = sorted(_EXPORTS)

@@ -373,16 +373,14 @@ def draw_corpus(config: GeneratorConfig, seeds) -> DrawnCorpus:
                     var_rows, config.n_variables
                 )
 
-    prof = obs_prof.current_profiler()
-    if prof is not None:
-        prof.add_bytes(
-            "genvec.drawn",
-            constants.nbytes
-            + targets.nbytes
-            + ops.nbytes
-            + operand_kind.nbytes
-            + operand_idx.nbytes,
-        )
+    obs_prof.add_bytes(
+        "genvec.drawn",
+        constants.nbytes
+        + targets.nbytes
+        + ops.nbytes
+        + operand_kind.nbytes
+        + operand_idx.nbytes,
+    )
     return DrawnCorpus(
         [int(s) for s in seeds],
         constants.tolist(),

@@ -20,11 +20,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "render_embedding",
-    "render_barrier_dag",
-    "render_gantt",
-    "barrier_dag_to_dot",
-    "cfg_to_dot",
-    "instruction_dag_to_dot",
-]
+__all__ = sorted(_EXPORTS)

@@ -80,9 +80,9 @@ class TestDispatchPolicy:
     def test_count_tallies_module_and_registry(self):
         kernels.reset_calls()
         with collect_metrics() as metrics:
-            kernels.count("assign", "numpy")
-            kernels.count("assign", "python")
-            kernels.count("assign", "numpy")
+            for backend in ("numpy", "python", "numpy"):
+                with kernels.timed("assign", backend):
+                    pass
         calls = kernels.kernels_info()["calls"]
         assert calls["kernels.calls.assign.numpy"] == 2
         assert calls["kernels.calls.assign.python"] == 1

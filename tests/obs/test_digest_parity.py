@@ -105,24 +105,24 @@ class TestDigestParity:
         progress heartbeats) is observation-only: the digest is
         bit-identical with the whole layer armed."""
         from repro.obs.progress import ProgressMeter, collect_progress
-        from repro.obs.prof import collect_profile
+        from repro.obs.prof import profile_block
 
         meter = ProgressMeter(lambda beat: None, interval_s=0.0)
-        with collect_profile() as prof, collect_progress(meter):
+        with obs_metrics.collect_metrics() as reg, collect_progress(meter):
             digest = results_digest(run_corpus(POINT, jobs=1))
         assert digest == baseline_digest
         # ... and the profiling actually happened (not vacuous parity).
-        assert prof.kernels
+        assert profile_block(reg)["kernels"]
         assert meter.done == POINT.count
 
     @needs_fork
     def test_profiled_parallel_matches_unprofiled_serial(self, baseline_digest):
-        from repro.obs.prof import collect_profile
+        from repro.obs.prof import profile_block
 
-        with collect_profile() as prof:
+        with obs_metrics.collect_metrics() as reg:
             digest = results_digest(run_corpus(POINT, jobs=2))
         assert digest == baseline_digest
-        assert prof.kernels, "worker profiles must ship home"
+        assert profile_block(reg)["kernels"], "worker timings must ship home"
 
     @needs_fork
     def test_worker_metrics_cover_serial_metrics(self):

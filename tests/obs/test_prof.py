@@ -1,7 +1,8 @@
-"""The continuous-profiling layer: kernel timing histograms, memory and
-GC accounting, folded-stack export, and -- the merge contract the
-parallel drivers rely on -- order-invariant folding of worker profiles,
-mirroring ``tests/obs/test_metrics.py`` for the registry."""
+"""Resource accounting into the metrics registry: kernel and stage
+timings, memory and GC accounts, the ``profile`` block derived from
+them, folded-stack export, and -- the merge contract the parallel
+drivers rely on -- a derived block that does not depend on the order
+worker registries are folded in."""
 
 from __future__ import annotations
 
@@ -12,13 +13,24 @@ import pytest
 from repro import kernels
 from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
-from repro.obs.prof import (
-    KernelStat,
-    Profiler,
+from repro.obs.metrics import (
+    MetricsRegistry,
     add_to_current,
-    collect_profile,
-    current_profiler,
+    collect_metrics,
+    current_registry,
+)
+from repro.obs.prof import (
+    BYTES,
+    GC_COLLECTED,
+    GC_PAUSE,
+    KERNEL,
+    PEAK_RSS,
+    STAGE,
+    STAGE_RSS,
+    UNTIMED,
     folded_stacks,
+    metrics_block,
+    profile_block,
     rss_bytes,
     track_gc,
     write_folded,
@@ -26,6 +38,7 @@ from repro.obs.prof import (
 from repro.obs.spans import collect_trace
 from repro.perf.gctune import batched_gc
 from repro.perf.parallel import fork_available
+from repro.perf.timers import stage
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -40,55 +53,65 @@ POINT = ExperimentPoint(
 )
 
 
-def _profile(**kernel_obs) -> Profiler:
-    """A profiler pre-loaded with ``key=[(wall, cpu), ...]`` samples."""
-    prof = Profiler()
+def _time(reg: MetricsRegistry, key: str, wall: float, cpu: float) -> None:
+    """One timing observation, as ``prof.Timer`` records it."""
+    reg.observe(key + ".wall_s", wall)
+    reg.observe(key + ".cpu_s", cpu)
+
+
+def _registry(**kernel_obs) -> MetricsRegistry:
+    """A registry pre-loaded with ``key=[(wall, cpu), ...]`` kernel timings."""
+    reg = MetricsRegistry()
     for key, samples in kernel_obs.items():
         for wall, cpu in samples:
-            prof.record_kernel(key, wall, cpu)
-    return prof
+            _time(reg, KERNEL + key, wall, cpu)
+    return reg
 
 
 class TestKernelStat:
+    """A profile block's per-key entry: count, wall, CPU and max seconds."""
+
     def test_observe_accumulates(self):
-        stat = KernelStat()
-        stat.observe(0.5, 0.4)
-        stat.observe(1.5, 1.0)
-        assert stat.count == 2
-        assert stat.wall_s == pytest.approx(2.0)
-        assert stat.cpu_s == pytest.approx(1.4)
-        assert stat.max_s == pytest.approx(1.5)
-        assert stat.mean_s == pytest.approx(1.0)
+        reg = _registry(**{"assign.numpy": [(0.5, 0.4), (1.5, 1.0)]})
+        stat = profile_block(reg)["kernels"]["assign.numpy"]
+        assert stat["count"] == 2
+        assert stat["wall_s"] == pytest.approx(2.0)
+        assert stat["cpu_s"] == pytest.approx(1.4)
+        assert stat["max_s"] == pytest.approx(1.5)
 
     def test_dict_round_trip(self):
-        stat = KernelStat(count=3, wall_s=1.25, cpu_s=1.0, max_s=0.75)
-        assert KernelStat.from_dict(stat.as_dict()) == stat
+        """The registry's wire form carries every entry of the block."""
+        reg = _registry(**{"assign.numpy": [(1.25, 1.0)], "batch.python": [(0.5, 0.5)]})
+        back = MetricsRegistry.from_dict(reg.as_dict())
+        assert profile_block(back) == profile_block(reg)
 
 
 class TestProfilerMerge:
-    """Worker profiles must fold associatively and commutatively: the
-    parent's totals cannot depend on chunk completion order."""
+    """Worker registries must fold associatively and commutatively: the
+    parent's derived profile cannot depend on chunk completion order."""
 
-    def _parts(self) -> list[Profiler]:
-        a = _profile(**{"assign.numpy": [(0.1, 0.1), (0.3, 0.2)]})
-        a.record_stage("schedule", 0.5, 0.4)
-        a.record_stage_rss("schedule", 1024)
-        a.add_bytes("genvec.drawn", 4096)
-        a.peak_rss = 500
-        a.record_gc_pause(0.01, 50)
-        b = _profile(
+    def _parts(self) -> list[MetricsRegistry]:
+        a = _registry(**{"assign.numpy": [(0.1, 0.1), (0.3, 0.2)]})
+        _time(a, STAGE + "schedule", 0.5, 0.4)
+        a.inc(STAGE_RSS + "schedule", 1024)
+        a.inc(BYTES + "genvec.drawn", 4096)
+        a.observe(PEAK_RSS, 500)
+        a.observe(GC_PAUSE, 0.01)
+        a.inc(GC_COLLECTED, 50)
+        b = _registry(
             **{"assign.numpy": [(0.2, 0.1)], "genvec.python": [(0.05, 0.05)]}
         )
-        b.record_stage("schedule", 0.25, 0.25)
-        b.record_stage("generate", 0.125, 0.1)
-        b.record_stage_rss("schedule", 512)
-        b.record_stage_rss("generate", 256)
-        b.peak_rss = 900
-        c = _profile(**{"genvec.python": [(0.5, 0.4)]})
-        c.add_bytes("genvec.drawn", 1000)
-        c.add_bytes("batch.tensors", 2000)
-        c.peak_rss = 700
-        c.record_gc_pause(0.02, 10)
+        _time(b, STAGE + "schedule", 0.25, 0.25)
+        _time(b, STAGE + "generate", 0.125, 0.1)
+        b.inc(STAGE_RSS + "schedule", 512)
+        b.inc(STAGE_RSS + "generate", 256)
+        b.observe(PEAK_RSS, 900)
+        c = _registry(**{"genvec.python": [(0.5, 0.4)]})
+        c.inc(BYTES + "genvec.drawn", 1000)
+        c.inc(BYTES + "batch.tensors", 2000)
+        c.observe(PEAK_RSS, 700)
+        c.observe(GC_PAUSE, 0.02)
+        c.inc(GC_COLLECTED, 10)
         return [a, b, c]
 
     def test_merge_order_invariance(self):
@@ -96,106 +119,146 @@ class TestProfilerMerge:
 
         reference = None
         for order in itertools.permutations(self._parts()):
-            total = Profiler()
+            total = MetricsRegistry()
             for part in order:
                 total.merge_from(part)
             if reference is None:
-                reference = total.as_dict()
+                reference = profile_block(total)
             else:
-                assert total.as_dict() == reference
+                assert profile_block(total) == reference
 
     def test_merge_associativity(self):
         parts = self._parts()
-        left = Profiler()
+        left = MetricsRegistry()
         for p in parts:
             left.merge_from(p)
-        bc = Profiler()
+        bc = MetricsRegistry()
         bc.merge_from(parts[1])
         bc.merge_from(parts[2])
-        right = Profiler()
+        right = MetricsRegistry()
         right.merge_from(parts[0])
         right.merge_from(bc)
-        assert left.as_dict() == right.as_dict()
+        assert profile_block(left) == profile_block(right)
 
     def test_merge_from_mapping_matches_object(self):
         """The wire form (``as_dict``, what workers actually ship) must
         merge identically to the live object."""
         parts = self._parts()
-        via_obj = Profiler()
-        via_map = Profiler()
+        via_obj = MetricsRegistry()
+        via_map = MetricsRegistry()
         for p in parts:
             via_obj.merge_from(p)
             via_map.merge_from(p.as_dict())
-        assert via_obj.as_dict() == via_map.as_dict()
+        assert profile_block(via_obj) == profile_block(via_map)
 
     def test_merge_semantics(self):
-        total = Profiler()
+        total = MetricsRegistry()
         for p in self._parts():
             total.merge_from(p)
-        assert total.kernels["assign.numpy"].count == 3
-        assert total.kernels["assign.numpy"].wall_s == pytest.approx(0.6)
-        assert total.kernels["assign.numpy"].max_s == pytest.approx(0.3)
-        assert total.stages["schedule"].count == 2
-        assert total.stages["schedule"].wall_s == pytest.approx(0.75)
-        assert total.stages["schedule"].cpu_s == pytest.approx(0.65)
-        assert total.stages["generate"].max_s == pytest.approx(0.125)
-        assert total.stage_rss == {"schedule": 1536, "generate": 256}
-        assert total.bytes == {"genvec.drawn": 5096, "batch.tensors": 2000}
-        assert total.peak_rss == 900  # max-merge, not sum
-        assert total.gc_pauses == 2
-        assert total.gc_pause_s == pytest.approx(0.03)
-        assert total.gc_collected == 60
+        profile = profile_block(total)
+        kernel = profile["kernels"]["assign.numpy"]
+        assert kernel["count"] == 3
+        assert kernel["wall_s"] == pytest.approx(0.6)
+        assert kernel["max_s"] == pytest.approx(0.3)
+        stages = profile["stages"]
+        assert stages["schedule"]["count"] == 2
+        assert stages["schedule"]["wall_s"] == pytest.approx(0.75)
+        assert stages["schedule"]["cpu_s"] == pytest.approx(0.65)
+        assert stages["generate"]["max_s"] == pytest.approx(0.125)
+        assert profile["stage_rss"] == {"schedule": 1536, "generate": 256}
+        assert profile["bytes"] == {"genvec.drawn": 5096, "batch.tensors": 2000}
+        assert profile["peak_rss"] == 900  # max-merge, not sum
+        assert profile["gc"]["pauses"] == 2
+        assert profile["gc"]["pause_s"] == pytest.approx(0.03)
+        assert profile["gc"]["collected"] == 60
 
     def test_dict_round_trip(self):
-        total = Profiler()
+        total = MetricsRegistry()
         for p in self._parts():
             total.merge_from(p)
-        assert Profiler.from_dict(total.as_dict()).as_dict() == total.as_dict()
+        back = MetricsRegistry.from_dict(total.as_dict())
+        assert profile_block(back) == profile_block(total)
 
     def test_merge_empty_identity(self):
         loaded = self._parts()[0]
-        snapshot = loaded.as_dict()
-        loaded.merge_from(Profiler())
-        assert loaded.as_dict() == snapshot
-        empty = Profiler()
+        snapshot = profile_block(loaded)
+        loaded.merge_from(MetricsRegistry())
+        assert profile_block(loaded) == snapshot
+        empty = MetricsRegistry()
         empty.merge_from(loaded)
-        assert empty.as_dict() == snapshot
+        assert profile_block(empty) == snapshot
+
+
+class TestBlocks:
+    def test_blocks_split_the_registry(self):
+        """Each entry lands in exactly one block: the profile's entries
+        leave the metrics block, the registry's others stay."""
+        reg = _registry(**{"assign.python": [(0.5, 0.25)]})
+        reg.inc(BYTES + "genvec.drawn", 64)
+        reg.observe(PEAK_RSS, 1000)
+        reg.inc("merge.verdict.merged", 2)
+        reg.observe("views.refire_cone", 3)
+        assert metrics_block(reg) == {
+            "counters": {"merge.verdict.merged": 2},
+            "histograms": {
+                "views.refire_cone": {"count": 1, "total": 3, "min": 3, "max": 3}
+            },
+        }
+        profile = profile_block(reg)
+        assert set(profile["kernels"]) == {"assign.python"}
+        assert profile["bytes"] == {"genvec.drawn": 64}
+        assert profile["peak_rss"] == 1000
+
+    def test_empty_registry_gives_zeros(self):
+        assert profile_block(MetricsRegistry()) == {
+            "stages": {},
+            "kernels": {},
+            "stage_rss": {},
+            "bytes": {},
+            "peak_rss": 0,
+            "gc": {"pauses": 0, "pause_s": 0.0, "collected": 0},
+        }
 
 
 class TestCollection:
     def test_noop_without_profiler(self):
-        assert current_profiler() is None
+        assert current_registry() is None
         with kernels.timed("assign", "python"):
             pass  # must not raise, must not record anywhere
+        assert kernels.timed("assign", "python") is UNTIMED
 
     def test_nesting_innermost_wins(self):
-        with collect_profile() as outer:
-            with collect_profile() as inner:
-                current_profiler().record_kernel("k.python", 0.1, 0.1)
-            assert inner.kernels["k.python"].count == 1
-            assert "k.python" not in outer.kernels
+        with collect_metrics() as outer:
+            with collect_metrics() as inner:
+                with kernels.timed("assign", "python"):
+                    pass
+            assert profile_block(inner)["kernels"]["assign.python"]["count"] == 1
+            assert "assign.python" not in profile_block(outer)["kernels"]
 
     def test_timed_records_at_dispatch(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with kernels.timed("assign", "python"):
                 sum(range(1000))
-        stat = prof.kernels["assign.python"]
-        assert stat.count == 1
-        assert stat.wall_s > 0.0
-        assert stat.max_s == pytest.approx(stat.wall_s)
+        stat = profile_block(reg)["kernels"]["assign.python"]
+        assert stat["count"] == 1
+        assert stat["wall_s"] > 0.0
+        assert stat["max_s"] == pytest.approx(stat["wall_s"])
+        assert reg.counter("kernels.calls.assign.python") == 1
 
     def test_rss_accounting(self):
         assert rss_bytes() > 0
-        with collect_profile() as prof:
-            pass
-        assert prof.peak_rss >= rss_bytes() - 1024  # sampled on exit
+        with collect_metrics() as reg:
+            with stage("generate"):
+                pass
+        # sampled when the stage closes
+        assert profile_block(reg)["peak_rss"] >= rss_bytes() - 1024
 
     def test_track_gc_records_pauses(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with track_gc():
                 gc.collect()
-        assert prof.gc_pauses >= 1
-        assert prof.gc_pause_s >= 0.0
+        assert profile_block(reg)["gc"]["pauses"] >= 1
+        assert profile_block(reg)["gc"]["pause_s"] >= 0.0
 
     def test_track_gc_noop_without_profiler(self):
         before = len(gc.callbacks)
@@ -205,70 +268,78 @@ class TestCollection:
 
     def test_batched_gc_feeds_profiler(self):
         """The corpus drivers' GC regime reports its pauses."""
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with batched_gc():
                 junk = [[i] for i in range(200_000)]
                 del junk
                 gc.collect()
-        assert prof.gc_pauses >= 1
+        assert profile_block(reg)["gc"]["pauses"] >= 1
 
     def test_add_to_current(self):
-        worker = _profile(**{"k.numpy": [(1.0, 0.9)]})
-        worker.record_stage("merge", 0.5, 0.5)
+        worker = _registry(**{"k.numpy": [(1.0, 0.9)]})
+        _time(worker, STAGE + "merge", 0.5, 0.5)
         shipped = worker.as_dict()
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             add_to_current(shipped)
-        assert prof.kernels["k.numpy"].count == 1
-        assert prof.stages["merge"].wall_s == pytest.approx(0.5)
-        add_to_current(shipped)  # no active profiler: silent no-op
+        profile = profile_block(reg)
+        assert profile["kernels"]["k.numpy"]["count"] == 1
+        assert profile["stages"]["merge"]["wall_s"] == pytest.approx(0.5)
+        add_to_current(shipped)  # no active registry: silent no-op
 
     def test_disable_kill_switch(self, monkeypatch):
-        monkeypatch.setattr("repro.obs.prof.DISABLED", True)
-        with collect_profile():
-            assert current_profiler() is None
+        monkeypatch.setattr("repro.obs.metrics.DISABLED", True)
+        with collect_metrics() as reg:
+            assert current_registry() is None
             with kernels.timed("assign", "python"):
                 pass
+            with stage("schedule"):
+                pass
+        assert reg.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_corpus_run_populates_kernel_timings(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             run_corpus(POINT, jobs=1)
-        assert prof.kernels, "dispatch boundary must record kernel timings"
-        assert any(stat.count > 0 for stat in prof.kernels.values())
-        total_wall = sum(s.wall_s for s in prof.kernels.values())
+        kernel_table = profile_block(reg)["kernels"]
+        assert kernel_table, "dispatch boundary must record kernel timings"
+        assert any(stat["count"] > 0 for stat in kernel_table.values())
+        total_wall = sum(s["wall_s"] for s in kernel_table.values())
         assert total_wall > 0.0
 
 
 @needs_fork
 class TestWorkerProfileShipping:
-    """Pool workers ship their profiles home, full or compact; the parent's
-    totals cover the serial run's regardless of completion order."""
+    """Pool workers ship their registries home, full or compact; the
+    parent's totals cover the serial run's regardless of completion
+    order."""
 
     def test_pool_workers_ship_profiles(self):
-        with collect_profile() as serial:
+        with collect_metrics() as serial:
             run_corpus(POINT, jobs=1)
-        with collect_profile() as parallel:
+        with collect_metrics() as parallel:
             run_corpus(POINT, jobs=2)
-        assert parallel.kernels, "worker profiles must be folded into parent"
+        parallel_kernels = profile_block(parallel)["kernels"]
+        serial_kernels = profile_block(serial)["kernels"]
+        assert parallel_kernels, "worker timings must be folded into parent"
         # Chunking changes how many times each kernel dispatches (one
         # batch call per chunk, thresholds per chunk size), so exact
         # call counts are not comparable -- but both runs did real work
         # on the same kernel families.
-        assert sum(s.count for s in parallel.kernels.values()) > 0
-        assert sum(s.count for s in serial.kernels.values()) > 0
-        assert set(parallel.kernels) & set(serial.kernels)
+        assert sum(s["count"] for s in parallel_kernels.values()) > 0
+        assert sum(s["count"] for s in serial_kernels.values()) > 0
+        assert set(parallel_kernels) & set(serial_kernels)
 
     def test_shm_workers_ship_profiles(self):
         point = POINT.with_(count=16)
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             run_corpus(point, jobs=2, compact=True)
-        assert prof.kernels
-        assert sum(s.count for s in prof.kernels.values()) > 0
+        kernel_table = profile_block(reg)["kernels"]
+        assert kernel_table
+        assert sum(s["count"] for s in kernel_table.values()) > 0
+        assert profile_block(reg)["peak_rss"] > 0
 
 
 class TestFoldedStacks:
     def test_self_time_and_nesting(self):
-        from repro.perf.timers import stage
-
         with collect_trace() as tracer:
             with stage("schedule"):
                 with stage("insert"):
@@ -283,8 +354,6 @@ class TestFoldedStacks:
         assert total_us <= root.dur_us * 1.5 + 2
 
     def test_write_folded(self, tmp_path):
-        from repro.perf.timers import stage
-
         with collect_trace() as tracer:
             with stage("generate"):
                 sum(range(10_000))

@@ -19,6 +19,8 @@ from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point
 from repro.ir.tuples import TupleProgram
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.prof import profile_block
 from repro.obs.provenance import collect_provenance
 from repro.perf import parallel
 from repro.perf.parallel import (
@@ -110,10 +112,11 @@ class TestDeterminism:
 
 class TestCollectors:
     def test_worker_ships_exactly_the_parents_collectors(self):
-        """A worker installs the tracer, registry and profiler its parent
-        has active, and no other, and ships back each one's state."""
+        """A worker installs the tracer and registry its parent has
+        active, and no other, and ships back each one's state; the
+        registry carries the chunk's stage times."""
         point = small_point(count=2)
-        for collectors in itertools.product((False, True), repeat=3):
+        for collectors in itertools.product((False, True), repeat=2):
             results, shipped = parallel._run_worker(
                 point, [11, 12], None, True, collectors
             )
@@ -121,12 +124,12 @@ class TestCollectors:
             assert [state is not None for state in shipped] == list(
                 collectors
             ), collectors
-            trace_state, metrics, profile = shipped
+            trace_state, metrics = shipped
             if trace_state is not None:
                 assert trace_state["spans"]
             if metrics is not None:
                 assert metrics["counters"]
-            if profile is not None:
+                profile = profile_block(MetricsRegistry.from_dict(metrics))
                 assert profile["stages"]["schedule"]["count"] == 1
 
     @needs_fork

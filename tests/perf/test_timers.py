@@ -1,4 +1,4 @@
-"""The per-stage timers: stage blocks time into the active profiler."""
+"""The per-stage timers: stage blocks time into the active registry."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_point
-from repro.obs.prof import Profiler, add_to_current, collect_profile
+from repro.obs.metrics import MetricsRegistry, add_to_current, collect_metrics
+from repro.obs.prof import STAGE, profile_block
 from repro.perf.parallel import fork_available
-from repro.perf.report import run_perf_report
+from repro.perf.report import run_perf_report, trajectory_entry
 from repro.perf.timers import STAGES, stage
 from repro.synth.generator import GeneratorConfig
 
@@ -20,68 +21,78 @@ POINT = ExperimentPoint(
 )
 
 
+def _stages(reg: MetricsRegistry) -> dict:
+    return profile_block(reg)["stages"]
+
+
+def _stage_registry(**stage_obs) -> MetricsRegistry:
+    """A registry holding ``stage=[(wall, cpu), ...]`` stage timings, as
+    ``stage()`` records them."""
+    reg = MetricsRegistry()
+    for name, samples in stage_obs.items():
+        for wall, cpu in samples:
+            reg.observe(STAGE + name + ".wall_s", wall)
+            reg.observe(STAGE + name + ".cpu_s", cpu)
+    return reg
+
+
 class TestStageTimings:
     def test_dict_round_trip(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with stage("generate"):
                 pass
             with stage("merge"):
                 pass
-        back = Profiler.from_dict(prof.as_dict())
-        assert back.stages == prof.stages
-        assert set(back.stages) == {"generate", "merge"}
+        back = MetricsRegistry.from_dict(reg.as_dict())
+        assert _stages(back) == _stages(reg)
+        assert set(_stages(back)) == {"generate", "merge"}
 
     def test_merge_from_accumulates(self):
-        total = Profiler()
-        total.record_stage("schedule", 1.0, 0.0)
+        total = _stage_registry(schedule=[(1.0, 0.0)])
         total.merge_from(
-            {"stages": {"schedule": {"count": 1, "wall_s": 0.5},
-                        "simulate": {"count": 1, "wall_s": 2.0}}}
+            _stage_registry(schedule=[(0.5, 0.0)], simulate=[(2.0, 0.0)]).as_dict()
         )
-        other = Profiler()
-        other.record_stage("schedule", 0.25, 0.0)
-        total.merge_from(other)
-        assert total.stages["schedule"].count == 3
-        assert total.stages["schedule"].wall_s == pytest.approx(1.75)
-        assert total.stages["simulate"].wall_s == pytest.approx(2.0)
+        total.merge_from(_stage_registry(schedule=[(0.25, 0.0)]))
+        stages = _stages(total)
+        assert stages["schedule"]["count"] == 3
+        assert stages["schedule"]["wall_s"] == pytest.approx(1.75)
+        assert stages["simulate"]["wall_s"] == pytest.approx(2.0)
 
 
 class TestCpuColumn:
     def test_dict_round_trip_keeps_cpu(self):
-        prof = Profiler()
-        prof.record_stage("schedule", 2.0, 1.5)
-        back = Profiler.from_dict(prof.as_dict())
-        assert back.stages == prof.stages
-        assert back.stages["schedule"].cpu_s == pytest.approx(1.5)
-        assert "merge" not in back.stages
+        reg = _stage_registry(schedule=[(2.0, 1.5)])
+        back = _stages(MetricsRegistry.from_dict(reg.as_dict()))
+        assert back == _stages(reg)
+        assert back["schedule"]["cpu_s"] == pytest.approx(1.5)
+        assert "merge" not in back
 
     def test_merge_from_sums_cpu(self):
-        total = Profiler()
-        total.record_stage("schedule", 1.0, 0.8)
+        total = _stage_registry(schedule=[(1.0, 0.8)])
         total.merge_from(
-            {"stages": {"schedule": {"count": 1, "wall_s": 0.5, "cpu_s": 0.4},
-                        "merge": {"count": 1, "wall_s": 0.1, "cpu_s": 0.1}}}
+            _stage_registry(schedule=[(0.5, 0.4)], merge=[(0.1, 0.1)]).as_dict()
         )
-        assert total.stages["schedule"].cpu_s == pytest.approx(1.2)
-        assert total.stages["merge"].cpu_s == pytest.approx(0.1)
-        assert total.stages["schedule"].wall_s == pytest.approx(1.5)
+        stages = _stages(total)
+        assert stages["schedule"]["cpu_s"] == pytest.approx(1.2)
+        assert stages["merge"]["cpu_s"] == pytest.approx(0.1)
+        assert stages["schedule"]["wall_s"] == pytest.approx(1.5)
 
     def test_stage_collects_cpu_alongside_wall(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with stage("schedule"):
                 sum(i * i for i in range(200_000))
-        stat = prof.stages["schedule"]
-        assert stat.count == 1
-        assert stat.wall_s > 0.0
-        assert stat.cpu_s > 0.0
+        stat = _stages(reg)["schedule"]
+        assert stat["count"] == 1
+        assert stat["wall_s"] > 0.0
+        assert stat["cpu_s"] > 0.0
         # CPU-bound loop: the two clocks agree to within scheduling noise.
-        assert stat.cpu_s <= stat.wall_s * 3 + 0.05
+        assert stat["cpu_s"] <= stat["wall_s"] * 3 + 0.05
 
 
 class TestCollection:
     def test_stage_is_noop_without_collector(self):
         with stage("generate"):
-            pass  # must not raise, must not require a profiler or tracer
+            pass  # must not raise, must not require a registry or tracer
 
     def test_stage_rejects_unknown_name(self):
         """A typo'd stage name must fail loudly, not silently time
@@ -89,12 +100,12 @@ class TestCollection:
         with pytest.raises(ValueError, match="unknown timing stage"):
             with stage("compile"):
                 pass
-        # ... profiler or not.
-        with collect_profile() as prof:
+        # ... registry or not.
+        with collect_metrics() as reg:
             with pytest.raises(ValueError, match="unknown timing stage"):
                 with stage("typo"):
                     pass
-        assert prof.stages == {}
+        assert reg.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_stage_opens_a_span_for_the_tracer(self):
         from repro.obs.spans import collect_trace
@@ -107,56 +118,58 @@ class TestCollection:
         assert names["schedule"].parent == names["generate"].id
 
     def test_stage_accumulates_into_collector(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             with stage("generate"):
                 pass
             with stage("generate"):
                 pass
-        assert prof.stages["generate"].count == 2
-        assert prof.stages["generate"].wall_s > 0.0
-        assert "simulate" not in prof.stages
+        stages = _stages(reg)
+        assert stages["generate"]["count"] == 2
+        assert stages["generate"]["wall_s"] > 0.0
+        assert "simulate" not in stages
 
     def test_collectors_nest_innermost_wins(self):
-        with collect_profile() as outer:
-            with collect_profile() as inner:
+        with collect_metrics() as outer:
+            with collect_metrics() as inner:
                 with stage("schedule"):
                     pass
-        assert inner.stages["schedule"].count == 1
-        assert "schedule" not in outer.stages
+        assert _stages(inner)["schedule"]["count"] == 1
+        assert "schedule" not in _stages(outer)
 
     def test_add_to_current(self):
-        shipped = {"stages": {"simulate": {"count": 1, "wall_s": 1.0}}}
-        add_to_current(shipped)  # no profiler: silently dropped
-        with collect_profile() as prof:
+        shipped = _stage_registry(simulate=[(1.0, 0.5)]).as_dict()
+        add_to_current(shipped)  # no registry: silently dropped
+        with collect_metrics() as reg:
             add_to_current(shipped)
-        assert prof.stages["simulate"].wall_s == pytest.approx(1.0)
+        assert _stages(reg)["simulate"]["wall_s"] == pytest.approx(1.0)
 
 
 #: Serial, and on a fork pool where the platform has one.
 JOBS = [1] + ([2] if fork_available() else [])
 
 
-def _assert_point_stages(prof) -> None:
-    assert prof.stages["generate"].wall_s > 0.0
-    assert prof.stages["schedule"].wall_s > 0.0
+def _assert_point_stages(reg) -> None:
+    stages = _stages(reg)
+    assert stages["generate"]["wall_s"] > 0.0
+    assert stages["schedule"]["wall_s"] > 0.0
     # Insertion happens inside scheduling; nesting means the parts never
     # exceed the whole.
-    assert prof.stages["insert"].wall_s <= prof.stages["schedule"].wall_s
+    assert stages["insert"]["wall_s"] <= stages["schedule"]["wall_s"]
 
 
 class TestPipelineIntegration:
     def test_run_point_populates_timings(self):
-        with collect_profile() as prof:
+        with collect_metrics() as reg:
             run_point(POINT, jobs=1)
-        _assert_point_stages(prof)
+        _assert_point_stages(reg)
 
     def test_run_point_credits_enclosing_collector(self):
-        """The enclosing profiler (the perf harness timing a whole sweep)
+        """The enclosing registry (the perf harness timing a whole sweep)
         sees the point's stage times when the point runs on a pool,
-        through the workers' shipped profiles."""
-        with collect_profile() as prof:
+        through the workers' shipped registries."""
+        with collect_metrics() as reg:
             run_point(POINT, jobs=JOBS[-1])
-        _assert_point_stages(prof)
+        _assert_point_stages(reg)
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_perf_record_stages_from_profile(self, jobs):
@@ -171,3 +184,35 @@ class TestPipelineIntegration:
             assert stages[name] > 0.0, name
             assert stages["cpu"][name] > 0.0, name
         assert stages["insert"] <= stages["schedule"]
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_perf_record_profile_block(self, jobs):
+        """The record's ``profile`` block keeps its keys and per-key
+        entries, the ``metrics`` block holds no second copy of them, and
+        the trajectory entry keeps the trimmed profile ``watch
+        --explain`` reads."""
+        data = run_perf_report(count=4, jobs=jobs, values=(10,)).data
+        profile = data["profile"]
+        assert set(profile) == {
+            "stages", "kernels", "stage_rss", "bytes", "peak_rss", "gc"
+        }
+        assert set(profile["gc"]) == {"pauses", "pause_s", "collected"}
+        assert set(profile["stages"]) == set(STAGES)
+        assert profile["kernels"]
+        for table in ("stages", "kernels"):
+            for key, stat in profile[table].items():
+                assert set(stat) == {"count", "wall_s", "cpu_s", "max_s"}, key
+                assert stat["count"] > 0, key
+                assert 0.0 <= stat["max_s"] <= stat["wall_s"], key
+        assert profile["peak_rss"] > 0
+        assert not [
+            name
+            for table in data["metrics"].values()
+            for name in table
+            if name.startswith("prof.")
+        ]
+        trimmed = trajectory_entry(data)["profile"]
+        assert set(trimmed) == {"kernels", "gc", "peak_rss"}
+        assert trimmed["kernels"] == profile["kernels"]
+        assert trimmed["gc"] == profile["gc"]
+        assert trimmed["peak_rss"] == profile["peak_rss"]
