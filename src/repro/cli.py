@@ -112,7 +112,7 @@ _EXPERIMENTS = {
         count=max(4, args.count // 4)
     ),
     "hybrid": lambda ex, args: ex.hybrid_experiment(
-        count=max(4, args.count // 4), jobs=None
+        count=max(4, args.count // 4)
     ),
 }
 
@@ -1031,20 +1031,16 @@ def _cmd_experiment(args) -> int:
 def _live_progress(args):
     """Scope the ``perf --live`` heartbeat stream around a run.
 
+    Yields the meter to hand to the run, or ``None`` without ``--live``.
     Bare ``--live`` renders a TTY status line on stderr (falling back
     to JSONL heartbeats with a warning when stderr is not a terminal);
     ``--live FILE`` streams machine-readable JSONL to the file.  Bad
     combinations raise for :func:`main`'s exit-2 diagnostic."""
     live = getattr(args, "live", None)
     if live is None:
-        yield
+        yield None
         return
-    from repro.obs.progress import (
-        JSONLSink,
-        ProgressMeter,
-        TTYStatusSink,
-        collect_progress,
-    )
+    from repro.obs.progress import JSONLSink, ProgressMeter, TTYStatusSink
 
     if live == "":
         if args.output == "-":
@@ -1068,8 +1064,7 @@ def _live_progress(args):
         )
     meter = ProgressMeter(sink.emit)
     try:
-        with collect_progress(meter):
-            yield
+        yield meter
         meter.finish()
     finally:
         sink.close()
@@ -1078,9 +1073,12 @@ def _live_progress(args):
 def _cmd_perf(args) -> int:
     from repro.perf.report import run_perf_report
 
-    with _perf_env(args), _live_progress(args):
+    with _perf_env(args), _live_progress(args) as meter:
         report = run_perf_report(
-            count=args.count, master_seed=args.seed, preset=args.preset
+            count=args.count,
+            master_seed=args.seed,
+            preset=args.preset,
+            progress=meter,
         )
     lines = [report.render()]
     if args.output and args.output != "-":

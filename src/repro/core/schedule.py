@@ -194,9 +194,6 @@ class Schedule:
         if structure:
             self.structure_revision += 1
 
-    def is_scheduled(self, node: NodeId) -> bool:
-        return node in self._processor_of
-
     def processor_of(self, node: NodeId) -> int:
         return self._processor_of[node]
 

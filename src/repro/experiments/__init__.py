@@ -1,11 +1,12 @@
 """Experiment harness: one entry point per table/figure of the paper.
 
-Each experiment function generates its corpus (seeded, reproducible),
-schedules it, aggregates the section 3.1 fractions, and returns a result
-object with a ``render()`` method producing the same rows/series the
-paper reports.  The benchmark suite (``benchmarks/``) wraps these
-functions one-to-one; ``EXPERIMENTS.md`` records paper-vs-measured
-values.
+Each experiment function generates its corpus (seeded, reproducible)
+and schedules it through :func:`~repro.experiments.sweeps.run_corpus`,
+so ``REPRO_JOBS`` reaches every corpus; it aggregates the section 3.1
+fractions and returns a result object with a ``render()`` method
+producing the same rows/series the paper reports.  The benchmark suite
+(``benchmarks/``) wraps these functions one-to-one; ``EXPERIMENTS.md``
+records paper-vs-measured values.
 
 The experiment index (DESIGN.md section 3):
 

@@ -13,13 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
+from repro.core.scheduler import SchedulerConfig
 from repro.experiments.render import line_chart, scatter_plot, table
-from repro.experiments.sweeps import ExperimentPoint, sweep
+from repro.experiments.sweeps import ExperimentPoint, run_corpus, sweep
 from repro.machine.vliw import vliw_schedule
 from repro.metrics.fractions import fractions_of
 from repro.metrics.stats import CorpusStats
-from repro.synth.corpus import BenchmarkCase, generate_cases
+from repro.synth.corpus import BenchmarkCase
 from repro.synth.generator import GeneratorConfig
 
 __all__ = [
@@ -72,6 +72,12 @@ class ScatterResult:
         )
 
 
+def _fig14_accept(case: BenchmarkCase) -> bool:
+    """Figure 14's filter; module level so that it pickles to workers."""
+    lo, hi = FIG14_SYNC_RANGE
+    return lo <= case.implied_synchronizations <= hi
+
+
 def figure14_scatter(
     count: int = 400,
     master_seed: int = 14,
@@ -83,11 +89,6 @@ def figure14_scatter(
     their optimized DAG implies 65..132 synchronizations, matching the
     figure's caption.
     """
-    lo, hi = FIG14_SYNC_RANGE
-
-    def accept(case: BenchmarkCase) -> bool:
-        return lo <= case.implied_synchronizations <= hi
-
     shapes = [
         GeneratorConfig(n_statements=60, n_variables=10),
         GeneratorConfig(n_statements=80, n_variables=12),
@@ -96,13 +97,13 @@ def figure14_scatter(
     per_shape = max(1, count // len(shapes))
     points: list[tuple[float, float]] = []
     for k, gen in enumerate(shapes):
-        for case in generate_cases(
-            gen, per_shape, master_seed + k, accept=accept
-        ):
-            result = schedule_dag(
-                case.dag,
-                SchedulerConfig(n_pes=n_pes, seed=case.seed & 0xFFFFFFFF),
-            )
+        point = ExperimentPoint(
+            generator=gen,
+            scheduler=SchedulerConfig(n_pes=n_pes),
+            count=per_shape,
+            master_seed=master_seed + k,
+        )
+        for result in run_corpus(point, accept=_fig14_accept):
             fr = fractions_of(result)
             points.append((fr.static, fr.serialized))
 
@@ -311,25 +312,27 @@ def figure18_vliw(
     n_variables: int = 10,
 ) -> VliwComparisonResult:
     """Barrier-MIMD completion (min/max) normalized to VLIW (figure 18)."""
-    gen = GeneratorConfig(n_statements=n_statements, n_variables=n_variables)
-    cases = list(generate_cases(gen, count, master_seed))
-
+    point = ExperimentPoint(
+        generator=GeneratorConfig(
+            n_statements=n_statements, n_variables=n_variables
+        ),
+        count=count,
+        master_seed=master_seed,
+    )
     mins: list[float] = []
     maxs: list[float] = []
     opts: list[float] = []
     for pes in values:
         ratios_min, ratios_max, optimal = [], [], 0
-        for case in cases:
-            vliw = vliw_schedule(case.dag, pes)
-            result = schedule_dag(
-                case.dag, SchedulerConfig(n_pes=pes, seed=case.seed & 0xFFFFFFFF)
-            )
+        results = run_corpus(point.with_(scheduler=SchedulerConfig(n_pes=pes)))
+        for result in results:
+            vliw = vliw_schedule(result.schedule.dag, pes)
             ratios_min.append(result.makespan.lo / vliw.makespan)
             ratios_max.append(result.makespan.hi / vliw.makespan)
             optimal += vliw.is_critical_path_optimal
         mins.append(float(np.mean(ratios_min)))
         maxs.append(float(np.mean(ratios_max)))
-        opts.append(optimal / len(cases))
+        opts.append(optimal / len(results))
 
     return VliwComparisonResult(
         x_values=tuple(values),

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
+from repro.core.scheduler import SchedulerConfig
+from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.faults import FaultPlan, harden_schedule, run_campaign
 from repro.hybrid import hybridize_schedule
-from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["HybridPoint", "HybridResult", "hybrid_experiment"]
@@ -116,7 +116,6 @@ def hybrid_experiment(
     n_statements: int = 30,
     n_pes: int = 4,
     master_seed: int = 0,
-    jobs: int | None = 1,
 ) -> HybridResult:
     """Sweep fault levels; campaign each schedule static, hardened, hybrid.
 
@@ -124,17 +123,19 @@ def hybrid_experiment(
     count at the highest ε (a straggler multiplies the per-instruction
     budget, so that corner is the hardest).  All three campaigns of a
     case share the same seeds, making the three survival rates directly
-    comparable run-for-run.
+    comparable run-for-run.  The corpus follows ``REPRO_JOBS`` through
+    :func:`~repro.experiments.sweeps.run_corpus`; the campaigns run
+    in-process, because a pool per short campaign costs more to start
+    than it saves.
     """
-    cases = list(
-        generate_cases(GeneratorConfig(n_statements=n_statements), count, master_seed)
-    )
-    schedules = []
-    for case in cases:
-        cfg = SchedulerConfig(
-            n_pes=n_pes, machine=machine, seed=case.seed & 0xFFFFFFFF
+    results = run_corpus(
+        ExperimentPoint(
+            generator=GeneratorConfig(n_statements=n_statements),
+            scheduler=SchedulerConfig(n_pes=n_pes, machine=machine),
+            count=count,
+            master_seed=master_seed,
         )
-        schedules.append(schedule_dag(case.dag, cfg).schedule)
+    )
 
     levels: list[tuple[float, int]] = [(eps, 0) for eps in epsilons]
     top = max(epsilons) if epsilons else 0.0
@@ -155,18 +156,16 @@ def hybrid_experiment(
         saves = 0
         stalls = 0
         deadlocks = 0
-        for case, schedule in zip(cases, schedules):
-            seed = case.seed & 0xFFFFFFFF
-            static = run_campaign(
-                schedule, machine, plan, runs=runs, seed=seed, jobs=jobs
-            )
+        for result in results:
+            schedule, seed = result.schedule, result.config.seed
+            static = run_campaign(schedule, machine, plan, runs=runs, seed=seed)
             hard = harden_schedule(schedule, plan=plan, merge=merge)
             hardened = run_campaign(
-                hard.schedule, machine, plan, runs=runs, seed=seed, jobs=jobs
+                hard.schedule, machine, plan, runs=runs, seed=seed
             )
             hyb = hybridize_schedule(schedule, plan.worst_stretch)
             hybrid = run_campaign(
-                schedule, machine, plan, runs=runs, seed=seed, hybrid=hyb, jobs=jobs
+                schedule, machine, plan, runs=runs, seed=seed, hybrid=hyb
             )
             for name, rep in (
                 ("static", static), ("hardened", hardened), ("hybrid", hybrid)
@@ -189,15 +188,15 @@ def hybrid_experiment(
             HybridPoint(
                 epsilon=eps,
                 n_stragglers=n_strag,
-                n_cases=len(cases),
+                n_cases=len(results),
                 n_runs=totals["static"],
                 survival_static=survived["static"] / max(totals["static"], 1),
                 survival_hardened=survived["hardened"] / max(totals["hardened"], 1),
                 survival_hybrid=survived["hybrid"] / max(totals["hybrid"], 1),
                 overhead_hardened=overhead("hardened"),
                 overhead_hybrid=overhead("hybrid"),
-                mean_extra_barriers=extra_barriers / len(cases),
-                mean_demotions=demotions / len(cases),
+                mean_extra_barriers=extra_barriers / len(results),
+                mean_demotions=demotions / len(results),
                 guard_saves=saves,
                 guard_stalls=stalls,
                 deadlocks=deadlocks,

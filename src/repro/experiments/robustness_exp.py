@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
+from repro.core.scheduler import SchedulerConfig
+from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.faults import FaultPlan, harden_schedule, robustness_margin, run_campaign
 from repro.metrics.robustness import (
     CaseRobustness,
     RobustnessPoint,
     aggregate_robustness,
 )
-from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["RobustnessResult", "robustness_experiment"]
@@ -90,22 +90,21 @@ def robustness_experiment(
     the share of timing-proved (statically discharged) edges, which are
     the only edges fault injection can break.
     """
-    cases = list(
-        generate_cases(GeneratorConfig(n_statements=n_statements), count, master_seed)
-    )
-    schedules = []
-    for case in cases:
-        cfg = SchedulerConfig(
-            n_pes=n_pes, machine=machine, seed=case.seed & 0xFFFFFFFF
+    results = run_corpus(
+        ExperimentPoint(
+            generator=GeneratorConfig(n_statements=n_statements),
+            scheduler=SchedulerConfig(n_pes=n_pes, machine=machine),
+            count=count,
+            master_seed=master_seed,
         )
-        schedules.append(schedule_dag(case.dag, cfg).schedule)
+    )
 
     points = []
     for eps in epsilons:
         plan = FaultPlan(epsilon=eps)
         batch = []
-        for case, schedule in zip(cases, schedules):
-            seed = case.seed & 0xFFFFFFFF
+        for result in results:
+            schedule, seed = result.schedule, result.config.seed
             margin = robustness_margin(schedule)
             before = run_campaign(
                 schedule, machine, plan, runs=runs, seed=seed

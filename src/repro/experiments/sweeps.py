@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 from repro.core.scheduler import ScheduleResult, SchedulerConfig
 from repro.ir.ops import DEFAULT_TIMING, TimingModel
 from repro.metrics.stats import CorpusStats, aggregate_results
-from repro.obs import progress as obs_progress
 from repro.perf.parallel import chunk_runner, resolve_jobs
 from repro.synth.corpus import BenchmarkCase
 from repro.synth.generator import GeneratorConfig
@@ -111,9 +110,7 @@ def run_corpus(
                 )
             take, wait = pending.popleft()
             in_flight -= take
-            accepted = wait()
-            results.extend(accepted)
-            obs_progress.advance(len(accepted))
+            results.extend(wait())
     return results
 
 

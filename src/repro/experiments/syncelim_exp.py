@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
+from repro.core.scheduler import SchedulerConfig
 from repro.core.sync_elimination import eliminate_directed_syncs
 from repro.experiments.render import table
+from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.machine.mimd import directed_sync_counts, _combined_task_graph
-from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["SyncEliminationStats", "sync_elimination_experiment"]
@@ -72,22 +72,27 @@ def sync_elimination_experiment(
     """Run the four regimes over one corpus."""
     import networkx as nx
 
-    gen = GeneratorConfig(n_statements=n_statements, n_variables=n_variables)
+    point = ExperimentPoint(
+        generator=GeneratorConfig(
+            n_statements=n_statements, n_variables=n_variables
+        ),
+        scheduler=SchedulerConfig(n_pes=n_pes),
+        count=count,
+        master_seed=master_seed,
+    )
     naive, structural, timing, combined, barriers = [], [], [], [], []
-    for case in generate_cases(gen, count, master_seed):
-        result = schedule_dag(
-            case.dag, SchedulerConfig(n_pes=n_pes, seed=case.seed & 0xFFFFFFFF)
-        )
+    for result in run_corpus(point):
         schedule = result.schedule
-        n_naive, n_reduced = directed_sync_counts(case.dag, schedule)
+        dag = schedule.dag
+        n_naive, n_reduced = directed_sync_counts(dag, schedule)
         elim = eliminate_directed_syncs(schedule)
 
         reduced_graph = nx.transitive_reduction(
-            _combined_task_graph(case.dag, schedule)
+            _combined_task_graph(dag, schedule)
         )
         reduced_set = {
             (g, i)
-            for g, i in case.dag.real_edges()
+            for g, i in dag.real_edges()
             if schedule.processor_of(g) != schedule.processor_of(i)
             and reduced_graph.has_edge(g, i)
         }

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.scheduler import SchedulerConfig, schedule_dag
+from repro.core.scheduler import SchedulerConfig
 from repro.experiments.render import table
 from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point
 from repro.ir.ops import ALU_OPCODES, DEFAULT_TIMING, OP_FREQUENCIES, Opcode
@@ -20,7 +20,6 @@ from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
 from repro.metrics.fractions import fractions_of
 from repro.metrics.stats import CorpusStats
-from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig, generate_block
 
 __all__ = [
@@ -187,21 +186,20 @@ def merging_experiment(
 ) -> MergingResult:
     """Merged vs unmerged barrier counts at the paper's 10-vars/80-stmts
     point, plus simulated SBM-vs-DBM completion times."""
-    gen = GeneratorConfig(n_statements=80, n_variables=10)
+    point = ExperimentPoint(
+        generator=GeneratorConfig(n_statements=80, n_variables=10),
+        count=count,
+        master_seed=master_seed,
+    )
+    sbm = SchedulerConfig(n_pes=n_pes, machine="sbm")
+    dbm = SchedulerConfig(n_pes=n_pes, machine="dbm", merge_barriers=False)
     merged_barriers, unmerged_barriers = [], []
     static_merged, static_unmerged = [], []
     sbm_times, dbm_times = [], []
-    for case in generate_cases(gen, count, master_seed):
-        seed = case.seed & 0xFFFFFFFF
-        merged = schedule_dag(
-            case.dag, SchedulerConfig(n_pes=n_pes, seed=seed, machine="sbm")
-        )
-        unmerged = schedule_dag(
-            case.dag,
-            SchedulerConfig(
-                n_pes=n_pes, seed=seed, machine="dbm", merge_barriers=False
-            ),
-        )
+    for merged, unmerged in zip(
+        run_corpus(point.with_(scheduler=sbm)),
+        run_corpus(point.with_(scheduler=dbm)),
+    ):
         merged_barriers.append(merged.counts.barriers_final)
         unmerged_barriers.append(unmerged.counts.barriers_final)
         static_merged.append(fractions_of(merged).static)
@@ -453,11 +451,6 @@ class SecondaryEffectResult:
     n_path: int
     n_barrier_edges: int
 
-    @property
-    def avoided_fraction(self) -> float:
-        """Back-compat alias for the broad measure."""
-        return self.broad_fraction
-
     def render(self) -> str:
         return (
             "Secondary effect (section 3, figures 7/8)\n"
@@ -540,17 +533,19 @@ def optimal_vs_conservative(
     count: int = 60, master_seed: int = 14, n_pes: int = 8
 ) -> InsertionComparisonResult:
     """Barrier counts under the two insertion algorithms on one corpus."""
-    gen = GeneratorConfig(n_statements=60, n_variables=10)
+    point = ExperimentPoint(
+        generator=GeneratorConfig(n_statements=60, n_variables=10),
+        count=count,
+        master_seed=master_seed,
+    )
+    conservative = SchedulerConfig(n_pes=n_pes, insertion="conservative")
+    optimal = SchedulerConfig(n_pes=n_pes, insertion="optimal")
     cons_barriers, opt_barriers, rescues = [], [], []
     improved = 0
-    for case in generate_cases(gen, count, master_seed):
-        seed = case.seed & 0xFFFFFFFF
-        cons = schedule_dag(
-            case.dag, SchedulerConfig(n_pes=n_pes, seed=seed, insertion="conservative")
-        )
-        opt = schedule_dag(
-            case.dag, SchedulerConfig(n_pes=n_pes, seed=seed, insertion="optimal")
-        )
+    for cons, opt in zip(
+        run_corpus(point.with_(scheduler=conservative)),
+        run_corpus(point.with_(scheduler=optimal)),
+    ):
         cons_barriers.append(cons.counts.barriers_final)
         opt_barriers.append(opt.counts.barriers_final)
         rescues.append(opt.counts.optimal_rescues)

@@ -17,7 +17,6 @@ the identity (round-trip property, tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.ir.ast import Assign, BasicBlock, BinOp, Const, Expr, Var
 from repro.ir.ops import Opcode
@@ -171,8 +170,3 @@ def parse_expr(source: str) -> Expr:
     if parser._current.kind != "eof":
         raise parser._error(f"trailing input {parser._current.text!r}")
     return node
-
-
-def _iter_statements(source: str) -> Iterator[Assign]:  # pragma: no cover
-    """Convenience generator used by the CLI to stream large inputs."""
-    yield from parse_block(source)

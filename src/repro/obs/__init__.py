@@ -1,8 +1,10 @@
 """Observability for the scheduling pipeline: spans, metrics, provenance.
 
-Independent, contextvar-scoped collectors, all opt-in and
-zero-cost when no subscriber is installed (and all hard-disabled by
-``REPRO_OBS_DISABLE=1``):
+Three independent, contextvar-scoped collectors -- tracer, metrics
+registry, provenance recorder -- all opt-in and zero-cost when no
+subscriber is installed (and all hard-disabled by
+``REPRO_OBS_DISABLE=1``), plus the resource accounts kept in the
+registry and the progress stream ``perf --live`` asks for:
 
 * :mod:`repro.obs.spans` -- hierarchical wall-clock span tracing of the
   five pipeline stages and their hot inner operations; exported as
@@ -16,7 +18,8 @@ zero-cost when no subscriber is installed (and all hard-disabled by
   accounts, GC pauses, the ``profile`` block derived from them, and
   folded-stack (flamegraph) export from a span trace;
 * :mod:`repro.obs.progress` -- live heartbeat stream (cases/s, ETA)
-  for long corpus runs, rendered as a TTY status line or JSONL;
+  of a perf run, rendered as a TTY status line or JSONL; not a
+  collector: the run is handed its meter;
 * :mod:`repro.obs.provenance` -- machine-readable reasons for every
   assignment, barrier insertion and merge verdict, surfaced by
   ``repro-sbm explain`` (:mod:`repro.obs.explain` builds the report;
@@ -49,8 +52,6 @@ _EXPORTS = {
     "JSONLSink": "repro.obs.progress",
     "ProgressMeter": "repro.obs.progress",
     "TTYStatusSink": "repro.obs.progress",
-    "collect_progress": "repro.obs.progress",
-    "current_meter": "repro.obs.progress",
     "AssignmentDecision": "repro.obs.provenance",
     "BarrierDecision": "repro.obs.provenance",
     "MergeDecision": "repro.obs.provenance",

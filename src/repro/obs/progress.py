@@ -11,37 +11,30 @@ Two sinks ship with the CLI's ``perf --live`` flag:
   machine-readable stream a service layer can forward as SSE, and the
   fallback when stderr is not a TTY.
 
-The lifecycle mirrors the other observability collectors: a subscriber
-installs a meter with :func:`collect_progress` for a dynamic extent;
-the corpus driver calls the module-level :func:`advance` /
-:func:`set_total` helpers, which are no-ops without a subscriber (and
-always under ``REPRO_OBS_DISABLE=1``); heartbeats are throttled to one
-per :data:`HEARTBEAT_INTERVAL_S` so tight serial loops do not spend
-their time formatting status lines.  Progress is observation only --
-the driver advances the meter strictly *after* a case's results are
-recorded, so results are bit-identical with or without a meter.
+A meter is an explicit output, not a collector: ``perf --live``
+builds one and hands it to :func:`repro.perf.report.run_perf_report`,
+which sets its total and advances it after each sweep point and after
+the simulation corpus; nothing else reports progress, and
+``REPRO_OBS_DISABLE=1`` does not silence a meter that was asked for.
+Heartbeats are throttled to one per :data:`HEARTBEAT_INTERVAL_S` so
+frequent advances do not spend their time formatting status lines.
+Progress is observation only -- the report advances the meter strictly
+*after* a point's results are recorded, so results are bit-identical
+with or without a meter.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, TextIO
-
-from repro.obs.spans import DISABLED
+from typing import Callable, TextIO
 
 __all__ = [
     "HEARTBEAT_INTERVAL_S",
     "JSONLSink",
     "ProgressMeter",
     "TTYStatusSink",
-    "advance",
-    "collect_progress",
-    "current_meter",
     "format_status",
-    "set_total",
 ]
 
 #: Minimum seconds between emitted heartbeats (the final one always fires).
@@ -148,41 +141,3 @@ class JSONLSink:
     def close(self) -> None:
         if self._owns_stream:
             self._stream.close()
-
-
-_meter: ContextVar[ProgressMeter | None] = ContextVar(
-    "repro_obs_progress", default=None
-)
-
-
-def current_meter() -> ProgressMeter | None:
-    """The active meter, or ``None`` (always ``None`` when
-    ``REPRO_OBS_DISABLE=1``)."""
-    if DISABLED:
-        return None
-    return _meter.get()
-
-
-@contextmanager
-def collect_progress(meter: ProgressMeter) -> Iterator[ProgressMeter]:
-    """Install a meter for the dynamic extent of the block."""
-    token = _meter.set(meter)
-    try:
-        yield meter
-    finally:
-        _meter.reset(token)
-
-
-def set_total(total: int) -> None:
-    """Announce the expected case count (no-op without a meter)."""
-    meter = current_meter()
-    if meter is not None:
-        meter.set_total(total)
-
-
-def advance(n: int = 1) -> None:
-    """Credit ``n`` completed cases to the active meter (no-op without
-    one).  Call strictly *after* a case's results are recorded."""
-    meter = current_meter()
-    if meter is not None:
-        meter.advance(n)

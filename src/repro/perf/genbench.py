@@ -7,9 +7,9 @@ scheduler allocations aging the heap.  On a noisy CI box those effects
 swamp a generator-only comparison.  This module benchmarks *just* the
 front end, the way a microbenchmark should:
 
-* the workload is every distinct generator shape of a preset (the
-  ``paper3500`` sweep legs dedupe to its size-sweep values) times the
-  preset's corpus size, using the exact serial attempt-seed sequence;
+* the workload is every distinct generator shape of :data:`PRESET`
+  (the ``paper3500`` sweep legs dedupe to its size-sweep values) times
+  :data:`COUNT` seeds, the exact serial attempt-seed sequence;
 * the two arms -- per-case :func:`repro.synth.corpus.compile_case` and
   vectorized :func:`repro.synth.genvec.compile_cases` -- run
   *interleaved*, shape by shape, repetition by repetition, so machine
@@ -20,13 +20,13 @@ front end, the way a microbenchmark should:
   any program difference before it ever looks at a ratio.
 
 ``python -m repro.perf.genbench`` runs the gate from CI (see the
-``scale-gates`` job); exit status 1 means the vectorized
-generator lost its edge or, worse, changed a program.
+``scale-gates`` job); it takes no flags, the shape is the module
+constants below.  Exit status 1 means the vectorized generator lost
+its edge or, worse, changed a program.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import sys
@@ -34,19 +34,21 @@ import time
 
 from repro import kernels
 from repro.experiments.sweeps import ExperimentPoint, _set_axis
-from repro.ir.ops import DEFAULT_TIMING, TimingModel
 from repro.perf.gctune import batched_gc
-from repro.perf.report import PRESET_COUNTS, PRESETS
+from repro.perf.report import PRESETS
 from repro.synth import genvec
 from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["bench_generate", "generator_shapes", "main"]
 
+PRESET = "paper3500"
+#: Seeds per shape: the preset's corpus size.
+COUNT = 100
+REPS = 3
 #: CI acceptance: vectorized generation must beat per-case python by
 #: at least this factor over the preset's shapes.
-DEFAULT_MIN_RATIO = 3.0
-DEFAULT_REPS = 3
+MIN_RATIO = 3.0
 
 
 def generator_shapes(preset: str) -> list[GeneratorConfig]:
@@ -84,34 +86,28 @@ def _corpus_digest(cases) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def bench_generate(
-    preset: str = "paper3500",
-    count: int | None = None,
-    reps: int = DEFAULT_REPS,
-    master_seed: int = 0,
-    timing: TimingModel = DEFAULT_TIMING,
-) -> dict:
+def bench_generate() -> dict:
     """Run the interleaved generator benchmark; return its record.
 
-    The record carries per-shape best times for both arms, the summed
-    totals, their ratio, and ``identical`` -- whether every shape's
-    vectorized corpus digested equal to the per-case one.
+    The workload is :data:`PRESET`'s shapes x :data:`COUNT` seeds (seed
+    0), best of :data:`REPS`.  The record carries per-shape best times
+    for both arms, the summed totals, their ratio, and ``identical`` --
+    whether every shape's vectorized corpus digested equal to the
+    per-case one.
     """
-    shapes = generator_shapes(preset)
-    if count is None:
-        count = PRESET_COUNTS[preset]
-    stream = random.Random(master_seed)  # the serial attempt-seed order
-    seeds = [stream.getrandbits(48) for _ in range(count)]
+    shapes = generator_shapes(PRESET)
+    stream = random.Random(0)  # the serial attempt-seed order
+    seeds = [stream.getrandbits(48) for _ in range(COUNT)]
     for config in shapes:
         if not genvec.supported(config):
             raise RuntimeError(
                 f"vectorized generator does not cover {config}; "
                 "the gate would compare python against itself"
             )
-    if not kernels.use_numpy("genvec", count):
+    if not kernels.use_numpy("genvec", COUNT):
         raise RuntimeError(
             "genvec resolves to the python path here "
-            f"(count {count}, threshold {kernels.THRESHOLDS['genvec']}, "
+            f"(count {COUNT}, threshold {kernels.THRESHOLDS['genvec']}, "
             f"numpy importable: {kernels.have_numpy()}); "
             "the gate would compare python against itself"
         )
@@ -127,11 +123,11 @@ def bench_generate(
     # live cases in the young generation would otherwise turn every
     # gen-0 collection inside the timed region into a full re-walk.
     with batched_gc():
-        for rep in range(max(1, reps)):
+        for rep in range(max(1, REPS)):
             for i, config in enumerate(shapes):
                 c0 = time.process_time()
                 t0 = time.perf_counter()
-                py_cases = [compile_case(config, s, timing) for s in seeds]
+                py_cases = [compile_case(config, s) for s in seeds]
                 best_py[i] = min(best_py[i], time.perf_counter() - t0)
                 best_py_cpu[i] = min(
                     best_py_cpu[i], time.process_time() - c0
@@ -140,7 +136,7 @@ def bench_generate(
                 del py_cases
                 c0 = time.process_time()
                 t0 = time.perf_counter()
-                vec_cases = genvec.compile_cases(config, seeds, timing)
+                vec_cases = genvec.compile_cases(config, seeds)
                 best_vec[i] = min(best_vec[i], time.perf_counter() - t0)
                 best_vec_cpu[i] = min(
                     best_vec_cpu[i], time.process_time() - c0
@@ -151,9 +147,9 @@ def bench_generate(
     py_total = sum(best_py)
     vec_total = sum(best_vec)
     return {
-        "preset": preset,
-        "count": count,
-        "reps": reps,
+        "preset": PRESET,
+        "count": COUNT,
+        "reps": REPS,
         "shapes": [
             {
                 "n_statements": config.n_statements,
@@ -174,26 +170,8 @@ def bench_generate(
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.genbench",
-        description="generator speed gate: vectorized vs per-case python",
-    )
-    parser.add_argument("--preset", default="paper3500")
-    parser.add_argument(
-        "--count", type=int, default=None, help="seeds per shape"
-    )
-    parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    parser.add_argument(
-        "--min-ratio",
-        type=float,
-        default=DEFAULT_MIN_RATIO,
-        help="required vectorized speedup over the per-case path",
-    )
-    args = parser.parse_args(argv)
-    record = bench_generate(
-        preset=args.preset, count=args.count, reps=args.reps
-    )
+def main() -> int:
+    record = bench_generate()
     for shape in record["shapes"]:
         ratio = (
             shape["python_s"] / shape["vectorized_s"]
@@ -220,10 +198,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if record["ratio"] < args.min_ratio:
+    if record["ratio"] < MIN_RATIO:
         print(
             f"generate-gate: vectorized generator is not "
-            f">={args.min_ratio:g}x faster ({record['ratio']:.2f}x)",
+            f">={MIN_RATIO:g}x faster ({record['ratio']:.2f}x)",
             file=sys.stderr,
         )
         return 1

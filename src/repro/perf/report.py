@@ -25,13 +25,12 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 from repro import __version__, kernels
 from repro.core.scheduler import SchedulerConfig
 from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
-from repro.obs import progress as obs_progress
 from repro.obs.metrics import collect_metrics
 from repro.obs.prof import metrics_block, profile_block, render_profile
 from repro.obs.runtime import analyze_trace
@@ -39,6 +38,9 @@ from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.parallel import resolve_jobs, results_digest
 from repro.perf.timers import STAGES
 from repro.synth.generator import GeneratorConfig
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressMeter
 
 __all__ = [
     "PerfReport",
@@ -265,22 +267,23 @@ def run_perf_report(
     count: int | None = None,
     jobs: int | None = None,
     master_seed: int = 0,
-    values: Sequence[int] | None = None,
     preset: str = "default",
+    progress: "ProgressMeter | None" = None,
 ) -> PerfReport:
     """Run one preset perf workload and reduce it to a report.
 
     ``count`` defaults to the preset's standard corpus size
-    (:data:`PRESET_COUNTS`); ``values`` overrides the *first* sweep
-    leg's axis values (the historical ``default``-preset knob).  The
-    simulation pass runs on the first leg's base point, so the
-    ``scale1024`` preset simulates (and digests) at 1024 PEs.
+    (:data:`PRESET_COUNTS`).  The simulation pass runs on the first
+    leg's base point, so the ``scale1024`` preset simulates (and
+    digests) at 1024 PEs.  A ``progress`` meter is told the run's case
+    total, then advanced after each sweep point and after the
+    simulation corpus.
     """
     from repro.experiments.sweeps import (
         ExperimentPoint,
         _set_axis,
         run_corpus,
-        sweep,
+        run_point,
     )
 
     if preset not in PRESETS:
@@ -292,8 +295,6 @@ def run_perf_report(
         (axis, list(vals), dict(overrides))
         for axis, vals, overrides in PRESETS[preset]
     ]
-    if values is not None:
-        legs[0] = (legs[0][0], list(values), legs[0][2])
     if count is None:
         count = PRESET_COUNTS[preset]
     jobs = resolve_jobs(jobs)
@@ -311,9 +312,9 @@ def run_perf_report(
     swept: list[tuple[str, object, object]] = []  # (axis, value, stats)
     leg_walls: list[float] = []
     sim_count = min(count, SIMULATED_CASES)
-    obs_progress.set_total(
-        sum(len(leg_values) for _, leg_values, _ in legs) * count + sim_count
-    )
+    total_cases = sum(len(vals) for _, vals, _ in legs) * count + sim_count
+    if progress is not None:
+        progress.set_total(total_cases)
     # The registry is always on for a perf run: besides its counters,
     # its per-stage and per-kernel timings and memory accounts go into
     # the report (and, trimmed, into the trajectory so ``watch
@@ -327,8 +328,11 @@ def run_perf_report(
             if leg_index == 0:
                 sim_base = point
             leg_start = time.perf_counter()
-            for value, stats in sweep(point, axis, leg_values, jobs=jobs):
+            for value in leg_values:
+                stats = run_point(_set_axis(point, axis, value), jobs=jobs)
                 swept.append((axis, value, stats))
+                if progress is not None:
+                    progress.advance(count)
             leg_walls.append(time.perf_counter() - leg_start)
         sim_results = run_corpus(sim_base.with_(count=sim_count), jobs=jobs)
         for result in sim_results:
@@ -339,6 +343,8 @@ def run_perf_report(
             # (PE utilization, barrier wait, release skew, superstep
             # imbalance) into the report's metrics block.
             analyze_trace(program, trace)
+        if progress is not None:
+            progress.advance(len(sim_results))
     wall = time.perf_counter() - start
     profile = profile_block(registry)
     merged = metrics_block(registry)
@@ -393,11 +399,7 @@ def run_perf_report(
         "backend": backend,
         "simulated_cases": len(sim_results),
         "wall_s": wall,
-        "cases_per_s": (
-            (sum(len(vals) for _, vals, _ in legs) * count + sim_count) / wall
-            if wall
-            else 0.0
-        ),
+        "cases_per_s": total_cases / wall if wall else 0.0,
         "stages": stages_block(profile),
         "metrics": merged,
         "profile": profile,

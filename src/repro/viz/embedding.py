@@ -45,14 +45,6 @@ def render_embedding(schedule: Schedule) -> str:
     rows.append(header)
     rows.append(_barrier_rule(schedule.initial_barrier, n))
 
-    def next_barrier(pe: int) -> Barrier | None:
-        stream = schedule.streams[pe]
-        for item in stream[cursors[pe]:]:
-            if isinstance(item, Barrier):
-                return item
-        return None
-
-    active = [pe for pe in range(n) if cursors[pe] < len(schedule.streams[pe])]
     guard = sum(len(s) for s in schedule.streams) + len(schedule.barriers()) + 4
     for _ in range(guard):
         active = [pe for pe in range(n) if cursors[pe] < len(schedule.streams[pe])]

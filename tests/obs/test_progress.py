@@ -1,6 +1,5 @@
 """The live progress stream: heartbeat throttling, ETA math, the two
-CLI sinks, and the observation-only module helpers the corpus drivers
-call."""
+CLI sinks, and the perf run that advances the meter it is handed."""
 
 from __future__ import annotations
 
@@ -8,15 +7,10 @@ import io
 import json
 
 from repro.obs.progress import (
-    HEARTBEAT_INTERVAL_S,
     JSONLSink,
     ProgressMeter,
     TTYStatusSink,
-    advance,
-    collect_progress,
-    current_meter,
     format_status,
-    set_total,
 )
 
 
@@ -136,44 +130,17 @@ class TestSinks:
 
 
 class TestModuleHelpers:
-    def test_noop_without_meter(self):
-        assert current_meter() is None
-        set_total(10)  # must not raise
-        advance(3)
-
-    def test_helpers_feed_installed_meter(self):
-        beats: list[dict] = []
-        meter = ProgressMeter(beats.append, interval_s=0.0)
-        with collect_progress(meter):
-            assert current_meter() is meter
-            set_total(5)
-            advance(2)
-            advance(3)
-        assert current_meter() is None
-        assert meter.done == 5
-        assert meter.total == 5
-        assert beats and beats[-1]["done"] == 5
-
-    def test_disable_kill_switch(self, monkeypatch):
-        monkeypatch.setattr("repro.obs.progress.DISABLED", True)
-        meter = ProgressMeter(lambda beat: None)
-        with collect_progress(meter):
-            assert current_meter() is None
-            advance()  # swallowed
-        assert meter.done == 0
-
     def test_corpus_run_advances_meter(self):
-        from repro.core.scheduler import SchedulerConfig
-        from repro.experiments.sweeps import ExperimentPoint, run_corpus
-        from repro.synth.generator import GeneratorConfig
+        """``run_perf_report`` sets the meter's total and advances it to
+        exactly that total, in-process and on a pool."""
+        from repro.perf.report import run_perf_report
 
-        meter = ProgressMeter(lambda beat: None, interval_s=0.0)
-        point = ExperimentPoint(
-            generator=GeneratorConfig(n_statements=10, n_variables=5),
-            scheduler=SchedulerConfig(n_pes=4),
-            count=6,
-            master_seed=1,
-        )
-        with collect_progress(meter):
-            results = run_corpus(point, jobs=1)
-        assert meter.done == len(results) == 6
+        for jobs in (1, 2):
+            beats: list[dict] = []
+            meter = ProgressMeter(beats.append, interval_s=0.0)
+            report = run_perf_report(count=2, jobs=jobs, progress=meter)
+            cases = len(report.data["points"]) * 2
+            assert meter.total == cases + report.data["simulated_cases"]
+            assert meter.done == meter.total, jobs
+            # One beat per sweep point, one for the simulation corpus.
+            assert [beat["done"] for beat in beats] == [2, 4, 6, 8]

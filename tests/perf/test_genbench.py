@@ -3,13 +3,23 @@
 The actual >=3x CI threshold is a performance property of the CI
 machine and is asserted there, not here; these tests pin the harness
 -- which shapes are benchmarked, that both arms compile identical
-corpora, and that the gate fails loudly on a ratio miss.
+corpora, and that the gate fails loudly on a ratio miss.  A tiny run
+(the ``scale1024`` shapes, 16 seeds, one repetition) stands in for the
+CI shape.
 """
 
 import pytest
 
 from repro import kernels
+from repro.perf import genbench
 from repro.perf.genbench import bench_generate, generator_shapes, main
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    monkeypatch.setattr(genbench, "PRESET", "scale1024")
+    monkeypatch.setattr(genbench, "COUNT", 16)
+    monkeypatch.setattr(genbench, "REPS", 1)
 
 
 class TestGeneratorShapes:
@@ -33,41 +43,39 @@ class TestGeneratorShapes:
 
 
 class TestBenchGenerate:
-    def test_arms_compile_identical_corpora(self):
-        record = bench_generate(preset="scale1024", count=16, reps=1)
+    def test_arms_compile_identical_corpora(self, tiny):
+        record = bench_generate()
         assert record["identical"]
+        assert record["preset"] == "scale1024"
         assert record["count"] == 16
+        assert record["reps"] == 1
         assert len(record["shapes"]) == 3
         assert record["python_s"] > 0 and record["vectorized_s"] > 0
         assert record["ratio"] > 0
 
-    def test_python_backend_refused(self, no_numpy):
+    def test_python_backend_refused(self, tiny, no_numpy):
         # Comparing python against itself would gate nothing; the
         # bench must refuse rather than silently pass or fail.
         kernels.reset_calls()
         with pytest.raises(RuntimeError, match="python path"):
-            bench_generate(preset="scale1024", count=16, reps=1)
+            bench_generate()
 
 
 class TestMain:
-    def test_ratio_miss_exits_nonzero(self, capsys):
+    def test_ratio_miss_exits_nonzero(self, tiny, monkeypatch, capsys):
         # An impossible threshold must fail the gate.
-        code = main(
-            [
-                "--preset", "scale1024", "--count", "16",
-                "--reps", "1", "--min-ratio", "1000",
-            ]
-        )
-        assert code == 1
+        monkeypatch.setattr(genbench, "MIN_RATIO", 1000.0)
+        assert main() == 1
         captured = capsys.readouterr()
         assert "generate-gate" in captured.err
 
-    def test_trivial_threshold_passes(self, capsys):
-        code = main(
-            [
-                "--preset", "scale1024", "--count", "16",
-                "--reps", "1", "--min-ratio", "0.0001",
-            ]
-        )
-        assert code == 0
+    def test_trivial_threshold_passes(self, tiny, monkeypatch, capsys):
+        monkeypatch.setattr(genbench, "MIN_RATIO", 0.0001)
+        assert main() == 0
         assert "speedup" in capsys.readouterr().out
+
+    def test_ci_shape_is_the_paper_preset(self):
+        assert genbench.PRESET == "paper3500"
+        assert genbench.COUNT == 100
+        assert genbench.REPS == 3
+        assert genbench.MIN_RATIO == 3.0

@@ -63,6 +63,8 @@ class TestRunPerfReportPresets:
         (leg,) = d["legs"]
         assert leg["axis"] == PERF_AXIS
         assert leg["values"] == list(PRESETS["scale1024"][0][1])
+        # The record's top-level axis and values are the first leg's.
+        assert (d["axis"], d["values"]) == (leg["axis"], leg["values"])
         assert leg["base"] == {"scheduler.n_pes": 1024}
         # Each leg carries its own throughput account.
         assert leg["cases"] == len(leg["values"]) * 1
@@ -78,19 +80,11 @@ class TestRunPerfReportPresets:
         assert entry["preset"] == "scale1024"
         assert entry["backend"] == d["backend"]["resolved"]
 
-    def test_default_preset_values_override(self):
-        report = run_perf_report(count=1, jobs=1, values=(10,))
-        d = report.data
-        assert d["preset"] == "default"
-        assert d["values"] == [10]
-        assert [p["value"] for p in d["points"]] == [10]
-        assert d["count"] == 1
-
     def test_parallel_record_tallies_worker_kernel_calls(self):
         # Pool workers dispatch every kernel call of a --jobs 2 run; the
         # calls reach the parent only through the merged metrics, so the
         # record's backend tally must be read from there.
-        report = run_perf_report(count=4, jobs=2, values=(10,))
+        report = run_perf_report(count=4, jobs=2)
         d = report.data
         counters = d["metrics"]["counters"]
         calls = d["backend"]["calls"]

@@ -176,9 +176,7 @@ class TestPipelineIntegration:
         """The record's ``stages`` block: five stage walls plus their
         CPU seconds, all positive; with ``jobs=2`` the sweep's stage
         times reach the record only through the shipped profiles."""
-        stages = run_perf_report(count=4, jobs=jobs, values=(10,)).data[
-            "stages"
-        ]
+        stages = run_perf_report(count=4, jobs=jobs).data["stages"]
         assert set(stages) == {*STAGES, "cpu"}
         for name in STAGES:
             assert stages[name] > 0.0, name
@@ -191,7 +189,7 @@ class TestPipelineIntegration:
         entries, the ``metrics`` block holds no second copy of them, and
         the trajectory entry keeps the trimmed profile ``watch
         --explain`` reads."""
-        data = run_perf_report(count=4, jobs=jobs, values=(10,)).data
+        data = run_perf_report(count=4, jobs=jobs).data
         profile = data["profile"]
         assert set(profile) == {
             "stages", "kernels", "stage_rss", "bytes", "peak_rss", "gc"
