@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.barriers.model import Barrier
 from repro.obs.metrics import current_registry
@@ -82,6 +82,13 @@ class BarrierDag:
             self._preds[v].append(u)
         self._topo: tuple[int, ...] = self._topological_order()
         self._order_index = {bid: k for k, bid in enumerate(self._topo)}
+        #: Every barrier but the initial one has a predecessor, so the
+        #: initial barrier reaches them all and fire times are longest
+        #: paths from it (a schedule's dag always is; see _longest).
+        #: Insertions and merges keep the property.
+        self._rooted = all(
+            self._preds[bid] for bid in self._barriers if bid != initial.id
+        )
         self._fire: dict[int, Interval] | None = None
         # Reachability is memoized per dag as one bitset per barrier (bit k
         # set iff the barrier at topological index k is a descendant).  The
@@ -110,11 +117,14 @@ class BarrierDag:
         for bid in self._topo:
             yield self._barriers[bid]
 
-    def succs(self, barrier_id: int) -> tuple[int, ...]:
-        return tuple(self._succs[barrier_id])
+    def succs(self, barrier_id: int) -> Sequence[int]:
+        """Successor ids (read-only: callers must not mutate the list,
+        which later snapshots share)."""
+        return self._succs[barrier_id]
 
-    def preds(self, barrier_id: int) -> tuple[int, ...]:
-        return tuple(self._preds[barrier_id])
+    def preds(self, barrier_id: int) -> Sequence[int]:
+        """Predecessor ids (read-only, as :meth:`succs`)."""
+        return self._preds[barrier_id]
 
     def weight(self, u: int, v: int) -> Interval:
         return self._weight[(u, v)]
@@ -175,6 +185,9 @@ class BarrierDag:
         new._weight, new._succs, new._preds = self._edited_adjacency(
             edge_edits, add_nodes=(new_barrier.id,), drop_node=None
         )
+        # Each split region u -> v becomes u -> b -> v: no barrier loses
+        # its last predecessor, and b gets one.
+        new._rooted = self._rooted
         # Topological splice: the new node goes right after its last
         # predecessor when every successor already sits at or past that
         # slot (edge deletions only relax the old order, and all added
@@ -229,6 +242,8 @@ class BarrierDag:
         new._weight, new._succs, new._preds = self._edited_adjacency(
             edge_edits, add_nodes=(), drop_node=old_id
         )
+        # The victim's in- and out-edges move to the survivor.
+        new._rooted = self._rooted
         # Dropping a node keeps the old order valid unless some rerouted
         # edge now points backwards in it.
         pruned = tuple(bid for bid in self._topo if bid != old_id)
@@ -332,14 +347,22 @@ class BarrierDag:
             push(bid)
         for (_, v) in edge_edits:
             push(v)
+        weight = new._weight
         cone = 0
         while heap:
             _, v = heapq.heappop(heap)
             cone += 1
             pending.discard(v)
-            acc = ZERO
+            # Join plain ints: one Interval per barrier, not per in-edge.
+            lo = hi = 0
             for u in new._preds[v]:
-                acc = acc.join(fire[u] + new._weight[(u, v)])
+                f = fire[u]
+                w = weight[(u, v)]
+                if f.lo + w.lo > lo:
+                    lo = f.lo + w.lo
+                if f.hi + w.hi > hi:
+                    hi = f.hi + w.hi
+            acc = Interval(lo, hi)
             if fire.get(v) != acc:
                 fire[v] = acc
                 for s in new._succs[v]:
@@ -436,6 +459,10 @@ class BarrierDag:
         the join implements "a barrier fires when its last participant
         arrives" for both bounds at once.
         """
+        return dict(self._fire_map())
+
+    def _fire_map(self) -> dict[int, Interval]:
+        """The memoized fire times themselves (not a copy)."""
         if self._fire is None:
             fire: dict[int, Interval] = {}
             for bid in self._topo:
@@ -444,7 +471,7 @@ class BarrierDag:
                     acc = acc.join(fire[u] + self._weight[(u, bid)])
                 fire[bid] = acc
             self._fire = fire
-        return dict(self._fire)
+        return self._fire
 
     def longest_path_max(self, u: int, v: int) -> int | None:
         """``l(psi_max(u, v))``: the longest ``u -> v`` path length assuming
@@ -463,6 +490,13 @@ class BarrierDag:
     def _longest(self, u: int, v: int, use_max: bool) -> int | None:
         if u == v:
             return 0
+        if u == self.initial.id and self._rooted:
+            # The initial barrier reaches every barrier, and fire(v) is
+            # the join over in-edges of fire(pred) + weight, with the
+            # barrier latency folded into the same weights: the longest
+            # b0 -> v path under max (hi) and under min (lo) times.
+            fire = self._fire_map()[v]
+            return fire.hi if use_max else fire.lo
         if not self.has_path(u, v):
             return None
         start = self._order_index[u]

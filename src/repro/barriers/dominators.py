@@ -28,9 +28,15 @@ restricted to the downstream cone.  For a freshly inserted barrier this
 degenerates to the textbook rule: its idom is the nearest common
 dominator of its predecessors.
 
-Query complexity: ``dominates`` is O(1) via Euler-tour intervals of the
-dominator tree; ``nearest_common_dominator`` is O(log depth) via binary
-lifting (the lifting table is built lazily on the first NCA query).
+A tree is just its idom map.  The scheduler evolves a new tree on every
+barrier insert and merge, and a case ends with about a dozen barriers,
+so idom chains are short and no per-tree table (depths, children,
+Euler tour, binary lifting) pays for its build.  ``dominates``,
+``nearest_common_dominator`` and ``depth`` walk idoms by topological
+index, with the same CHK *intersect* the construction runs: an idom
+always precedes its node topologically, so walking the later of two
+nodes up its chain meets their nearest common ancestor.  Each query is
+O(depth).
 """
 
 from __future__ import annotations
@@ -46,42 +52,11 @@ __all__ = ["DominatorTree"]
 class DominatorTree:
     """Immediate-dominator tree of a :class:`BarrierDag`."""
 
+    __slots__ = ("_dag", "_idom")
+
     def __init__(self, dag: BarrierDag, _idom: dict[int, int] | None = None) -> None:
         self._dag = dag
         self._idom: dict[int, int] = _compute_idoms(dag) if _idom is None else _idom
-        root = dag.initial.id
-        depth: dict[int, int] = {root: 0}
-        # Nodes come out of barrier_ids topologically sorted, and an idom
-        # always precedes its node topologically, so one sweep sets depths.
-        children: dict[int, list[int]] = {bid: [] for bid in dag.barrier_ids}
-        for bid in dag.barrier_ids:
-            if bid == root:
-                continue
-            idom = self._idom[bid]
-            depth[bid] = depth[idom] + 1
-            children[idom].append(bid)
-        # Euler-tour intervals over the dominator tree: x dominates y iff
-        # y's interval nests inside x's.  O(1) per query after this O(B)
-        # iterative DFS (children visited in topological order).
-        tin: dict[int, int] = {}
-        tout: dict[int, int] = {}
-        clock = 0
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            node, closing = stack.pop()
-            if closing:
-                tout[node] = clock
-                continue
-            tin[node] = clock
-            clock += 1
-            stack.append((node, True))
-            for child in reversed(children[node]):
-                stack.append((child, False))
-        self._depth = depth
-        self._tin = tin
-        self._tout = tout
-        #: Binary-lifting ancestor table, built lazily on the first NCA query.
-        self._up: list[dict[int, int]] | None = None
 
     @classmethod
     def evolved(
@@ -120,41 +95,27 @@ class DominatorTree:
         return self._idom[barrier_id]
 
     def depth(self, barrier_id: int) -> int:
-        return self._depth[barrier_id]
+        """Edges from the initial barrier down the idom chain."""
+        root = self.root
+        idom = self._idom
+        depth = 0
+        while barrier_id != root:
+            barrier_id = idom[barrier_id]
+            depth += 1
+        return depth
 
     def dominates(self, x: int, y: int) -> bool:
         """True iff ``x dom y`` (every barrier dominates itself)."""
-        return self._tin[x] <= self._tin[y] and self._tout[y] <= self._tout[x]
-
-    def _lift(self) -> list[dict[int, int]]:
-        """``up[k][v]``: the ``2**k``-th ancestor of ``v`` (clamped at the
-        root).  Built once per tree, on the first NCA query."""
-        if self._up is None:
-            root = self.root
-            level0 = {bid: (root if bid == root else self._idom[bid])
-                      for bid in self._depth}
-            up = [level0]
-            max_depth = max(self._depth.values(), default=0)
-            while (1 << len(up)) <= max_depth:
-                prev = up[-1]
-                up.append({bid: prev[prev[bid]] for bid in prev})
-            self._up = up
-        return self._up
+        index = self._dag.order_index
+        idom = self._idom
+        stop = index[x]
+        while index[y] > stop:
+            y = idom[y]
+        return y == x
 
     def nearest_common_dominator(self, x: int, y: int) -> int:
         """``CommonDom``: nearest common ancestor in the dominator tree."""
-        if self.dominates(x, y):
-            return x
-        if self.dominates(y, x):
-            return y
-        # Lift x to its deepest ancestor that still does NOT dominate y;
-        # that ancestor's idom is the NCA.  O(log depth).
-        up = self._lift()
-        for level in reversed(up):
-            anc = level[x]
-            if not self.dominates(anc, y):
-                x = anc
-        return self._idom[x]
+        return _intersect(self._idom, self._dag.order_index, x, y)
 
     def as_mapping(self) -> Mapping[int, int | None]:
         """``barrier id -> immediate dominator id`` (root maps to None)."""
@@ -185,14 +146,6 @@ def _compute_idoms(
     if seed:
         idom.update(seed)
 
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
     for bid in order[start:]:
         if bid == root:
             continue
@@ -203,8 +156,23 @@ def _compute_idoms(
             )
         new = preds[0]
         for p in preds[1:]:
-            new = intersect(new, p)
+            new = _intersect(idom, index, new, p)
         idom[bid] = new
 
     idom.pop(root)
     return idom
+
+
+def _intersect(
+    idom: Mapping[int, int], index: Mapping[int, int], a: int, b: int
+) -> int:
+    """Cooper-Harvey-Kennedy *intersect*: the nearest common ancestor of
+    ``a`` and ``b`` in the idom tree, walking whichever node is later in
+    topological order up its idom chain until the two meet.  Never reads
+    the root's idom (the root has the smallest index)."""
+    while a != b:
+        while index[a] > index[b]:
+            a = idom[a]
+        while index[b] > index[a]:
+            b = idom[b]
+    return a

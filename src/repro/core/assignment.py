@@ -179,13 +179,13 @@ def step2_classes(
 
 def serialization_candidates(schedule: Schedule, node: NodeId) -> list[int]:
     """Producer processors whose last instruction is a producer of ``node``."""
-    producer_pes = {
-        schedule.processor_of(g) for g in schedule.dag.real_preds(node)
-    }
+    producers = schedule.dag.real_preds(node)
+    producer_pes = {schedule.processor_of(g) for g in producers}
+    wanted = set(producers)
     return [
         pe
         for pe in sorted(producer_pes)
-        if schedule.last_instruction_on(pe) in set(schedule.dag.real_preds(node))
+        if schedule.last_instruction_on(pe) in wanted
     ]
 
 

@@ -47,6 +47,7 @@ from repro.core.validate import (
     check_structure,
     finalize_schedule,
     repair_schedule,
+    timing_edges,
 )
 from repro.ir.dag import InstructionDAG
 from repro.obs.metrics import current_registry
@@ -179,12 +180,13 @@ def _batched_finalize(built, configs, reg):
 
     finals: list[tuple[int, int] | None] = [None] * len(built)
     sweeping: list[dict] = []
-    for i, ((schedule, _inserter, _order), config) in enumerate(
+    for i, ((schedule, inserter, _order), config) in enumerate(
         zip(built, configs)
     ):
+        edges = timing_edges(schedule.dag, inserter.resolutions)
         if not config.merging_enabled:
             finals[i] = finalize_schedule(
-                schedule, config.insertion, merge=False
+                schedule, config.insertion, merge=False, edges=edges
             )
             continue
         check_structure(schedule)
@@ -193,6 +195,7 @@ def _batched_finalize(built, configs, reg):
                 "index": i,
                 "schedule": schedule,
                 "mode": config.insertion,
+                "edges": edges,
                 "guard": schedule.dag.implied_synchronizations
                 + len(schedule.barriers())
                 + 2,
@@ -266,7 +269,7 @@ def _batched_finalize(built, configs, reg):
         # finalize iteration (outside stage("merge"), as serially).
         for st in finished:
             merges = st["absorbed"]
-            repairs = repair_schedule(st["schedule"], st["mode"])
+            repairs = repair_schedule(st["schedule"], st["mode"], st["edges"])
             st["merges"] += merges
             st["repairs"] += repairs
             st["iterations"] += 1

@@ -649,11 +649,15 @@ class Schedule:
 
     def _patch_hbdesc_insert(self, barrier: Barrier) -> None:
         # Every H edge the insert adds is incident to the new barrier, so
-        # all *new* reachability routes through it: the new barrier's own
-        # closure is a forward walk, its H-ancestors gain that closure
-        # plus the new id, and every other descendant set is unchanged.
-        # (Called after _patch_hb_insert, so the graph includes the new
-        # barrier already.)
+        # all *new* reachability routes through it, and (H being acyclic)
+        # no closure of a barrier the new one reaches changes.  So each
+        # walk stops at the first barrier on a route: going forward, that
+        # barrier's cached set covers everything past it; going backward,
+        # its barrier ancestors are exactly the ids whose sets hold it.
+        # Only those ancestors gain (the new id plus its closure), and
+        # they are patched in place: no caller holds the dict across an
+        # insert.  (Called after _patch_hb_insert, so the graph includes
+        # the new barrier already.)
         desc = self._hbdesc_cache
         succs = self._hb_cache
         bkey = ("b", barrier.id)
@@ -666,9 +670,11 @@ class Schedule:
                     seen.add(nxt)
                     if nxt[0] == "b":
                         forward.add(nxt[1])
-                    stack.append(nxt)
+                        forward.update(desc[nxt[1]])
+                    else:
+                        stack.append(nxt)
         preds = self._hb_pred_cache
-        gain: set[int] = set()
+        first: set[int] = set()
         seen = {bkey}
         stack = [bkey]
         while stack:
@@ -676,14 +682,14 @@ class Schedule:
                 if prv not in seen:
                     seen.add(prv)
                     if prv[0] == "b":
-                        gain.add(prv[1])
-                    stack.append(prv)
-        closure = frozenset(forward | {barrier.id})
-        patched = {
-            bid: (d | closure if bid in gain else d) for bid, d in desc.items()
-        }
-        patched[barrier.id] = frozenset(forward)
-        self._hbdesc_cache = patched
+                        first.add(prv[1])
+                    else:
+                        stack.append(prv)
+        closure = frozenset(forward) | {barrier.id}
+        for bid, d in desc.items():
+            if bid in first or not first.isdisjoint(d):
+                desc[bid] = d | closure
+        desc[barrier.id] = frozenset(forward)
 
     def _patch_hbdesc_replace(self, old: Barrier, new: Barrier) -> None:
         desc = self._hbdesc_cache

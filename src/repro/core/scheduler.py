@@ -36,7 +36,7 @@ from repro.core.labeling import compute_heights
 from repro.core.ordering import order_nodes
 from repro.core.schedule import Schedule
 from repro.timing import Interval
-from repro.core.validate import finalize_schedule
+from repro.core.validate import finalize_schedule, timing_edges
 from repro.ir.dag import InstructionDAG, NodeId
 
 __all__ = ["SchedulerConfig", "SyncCounts", "ScheduleResult", "schedule_dag"]
@@ -171,7 +171,10 @@ def schedule_dag(
     schedule, inserter, order = _list_schedule(dag, config, heights)
 
     repairs, final_merges = finalize_schedule(
-        schedule, config.insertion, merge=config.merging_enabled
+        schedule,
+        config.insertion,
+        merge=config.merging_enabled,
+        edges=timing_edges(dag, inserter.resolutions),
     )
 
     return _assemble_result(

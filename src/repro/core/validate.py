@@ -12,12 +12,24 @@ SBM ones), but they cause almost all the real races among the failed
 proofs: of the flagged edges of unrepaired schedules that raced under
 simulated in-interval durations, all but one came from a merge
 (EXPERIMENTS.md deviation 1).  So every completed schedule is
-re-validated edge by edge against its *final* barrier dag:
+re-validated against its *final* barrier dag:
 
 * every real node is scheduled exactly once and same-processor edges
   respect stream order;
 * every cross-processor edge is discharged structurally (PathFind) or by
   the conservative/optimal timing proof.
+
+Only the edges insertion proved by timing are re-checked
+(:func:`timing_edges`).  The other discharges cannot break: a serialized
+edge keeps its processor and stream order, and a path or barrier
+discharge is a chain of barriers from ``NextBar(g)`` to ``LastBar(i-)``
+that a later insert only lengthens (the new barrier sits on the stream
+between two barriers it now orders) and a merge only fuses (the
+survivor inherits every in- and out-edge).  Scanning the timing edges
+in :meth:`~repro.ir.dag.InstructionDAG.real_edges` order therefore finds
+the same first violation as a scan of every edge, so the repairs, and
+every result, are those of the full scan.  :func:`find_violations` still
+scans every edge: it is the independent check.
 
 Each violation (about 0.4-0.7 per block on 8-PE corpora with
 conservative insertion, counted as ``repairs``; see EXPERIMENTS.md
@@ -30,13 +42,21 @@ stay discharged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.barrier_insert import ResolutionKind, choose_safe_placements, classify_edge
+from repro.core.barrier_insert import (
+    EdgeResolution,
+    ResolutionKind,
+    choose_safe_placements,
+    classify_edge,
+)
 from repro.core.merging import merge_all_overlapping
 from repro.core.schedule import Schedule
-from repro.ir.dag import NodeId
+from repro.ir.dag import InstructionDAG, NodeId
 from repro.perf.timers import stage
+
+#: A producer/consumer edge ``(g, i)``.
+Edge = tuple[NodeId, NodeId]
 
 __all__ = [
     "ScheduleError",
@@ -45,6 +65,7 @@ __all__ = [
     "find_violations",
     "repair_schedule",
     "finalize_schedule",
+    "timing_edges",
 ]
 
 
@@ -97,9 +118,26 @@ def check_structure(schedule: Schedule) -> None:
             schedule.barrier_position(barrier, pe)  # raises if absent
 
 
-def _scan_violations(schedule: Schedule, mode: str) -> Iterator[Violation]:
-    """Lazily classify the real edges in order, yielding each violation."""
-    for g, i in schedule.dag.real_edges():
+def timing_edges(
+    dag: InstructionDAG, resolutions: Iterable[EdgeResolution]
+) -> list[Edge]:
+    """The edges ``resolutions`` discharged by a timing proof, in
+    :meth:`~repro.ir.dag.InstructionDAG.real_edges` order: the only ones
+    a later insert or merge can break (see the module docstring)."""
+    proved = {
+        (r.producer, r.consumer)
+        for r in resolutions
+        if r.kind is ResolutionKind.TIMING
+    }
+    return [edge for edge in dag.real_edges() if edge in proved]
+
+
+def _scan_violations(
+    schedule: Schedule, mode: str, edges: Iterable[Edge] | None = None
+) -> Iterator[Violation]:
+    """Lazily classify ``edges`` (default: every real edge) in order,
+    yielding each violation."""
+    for g, i in schedule.dag.real_edges() if edges is None else edges:
         try:
             verdict = classify_edge(schedule, g, i, mode)
         except ValueError as exc:  # same-PE order inverted
@@ -118,17 +156,22 @@ def find_violations(
     return list(_scan_violations(schedule, mode))
 
 
-def repair_schedule(schedule: Schedule, mode: str = "conservative") -> int:
+def repair_schedule(
+    schedule: Schedule,
+    mode: str = "conservative",
+    edges: Sequence[Edge] | None = None,
+) -> int:
     """Insert plain barriers until no violation remains; return how many
     were added.
 
-    Each round repairs the first violation in edge order and rescans
-    from the start, because the new barrier changes the dag that later
+    ``edges`` are the edges to re-check, in edge order (default: every
+    real edge).  Each round repairs the first violation and rescans from
+    the start, because the new barrier changes the dag that later
     verdicts read."""
     added = 0
     guard = schedule.dag.implied_synchronizations + 1
     for _ in range(guard):
-        v = next(_scan_violations(schedule, mode), None)
+        v = next(_scan_violations(schedule, mode, edges), None)
         if v is None:
             return added
         placements = choose_safe_placements(schedule, v.producer, v.consumer)
@@ -139,10 +182,19 @@ def repair_schedule(schedule: Schedule, mode: str = "conservative") -> int:
 
 
 def finalize_schedule(
-    schedule: Schedule, mode: str = "conservative", merge: bool = False
+    schedule: Schedule,
+    mode: str = "conservative",
+    merge: bool = False,
+    edges: Sequence[Edge] | None = None,
 ) -> tuple[int, int]:
     """Bring a freshly built schedule to its sound, invariant-satisfying
     final form; return ``(repairs, final_merges)``.
+
+    ``edges`` are the edges the repair pass re-checks
+    (:func:`repair_schedule`); the list scheduler passes
+    :func:`timing_edges` of its resolutions.  The default, every real
+    edge, serves a schedule with no insertion record (e.g. one re-bound
+    to an inflated DAG by ε-hardening).
 
     For SBM schedules (``merge=True``) this alternates the global merge
     sweep (establishing the no-unordered-overlap FIFO invariant) with the
@@ -160,7 +212,7 @@ def finalize_schedule(
                 merges = merge_all_overlapping(schedule)
         else:
             merges = 0
-        repairs = repair_schedule(schedule, mode)
+        repairs = repair_schedule(schedule, mode, edges)
         total_merges += merges
         total_repairs += repairs
         if merges == 0 and repairs == 0:

@@ -170,10 +170,15 @@ class InstructionDAG:
         return self._preds[node]
 
     def real_preds(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(p for p in self._preds[node] if p != ENTRY)
+        # ENTRY feeds exactly the nodes without a real predecessor, so a
+        # stored tuple either is ``(ENTRY,)`` or holds no dummy at all.
+        preds = self._preds[node]
+        return () if preds and preds[0] == ENTRY else preds
 
     def real_succs(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(s for s in self._succs[node] if s != EXIT)
+        # Likewise EXIT drains exactly the nodes without a real successor.
+        succs = self._succs[node]
+        return () if succs and succs[0] == EXIT else succs
 
     def real_edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Producer/consumer edges between instruction nodes only."""

@@ -43,12 +43,12 @@ import gc
 import resource
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from repro.obs.metrics import MetricsRegistry, current_registry
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import NOOP, SpanTracer
 
 __all__ = [
     "Timer",
@@ -137,8 +137,9 @@ class Timer:
         return False
 
 
-#: Shared no-op timer, so a registry-off path allocates nothing per call.
-UNTIMED = nullcontext()
+#: Shared no-op timer, so a registry-off path allocates nothing per call
+#: (the same object as an idle span).
+UNTIMED = NOOP
 
 
 @contextmanager

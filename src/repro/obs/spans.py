@@ -13,8 +13,9 @@ stage* the time went.  Point-in-time occurrences that have no duration
 Like the metrics registry, tracing is **opt-in and zero-cost when off**: a
 subscriber installs a :class:`SpanTracer` with :func:`collect_trace`,
 and every :func:`span` block encountered while it is active records
-into it.  With no subscriber a :func:`span` block costs one
-context-variable lookup and the pipeline's results are bit-identical
+into it.  With no subscriber :func:`span` returns the shared no-op
+:data:`NOOP`, so a block costs one context-variable lookup and builds
+no context manager, and the pipeline's results are bit-identical
 either way (tracing is observation only; it never touches the RNG or
 any decision).  ``REPRO_OBS_DISABLE=1`` hard-disables every recording
 entry point regardless of subscribers -- the kill switch the CI
@@ -33,10 +34,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import ContextManager, Iterator, Mapping
 
 __all__ = [
     "Span",
@@ -252,14 +253,25 @@ def collect_trace() -> Iterator[SpanTracer]:
         _tracer.reset(token)
 
 
-@contextmanager
-def span(name: str, **args) -> Iterator[None]:
-    """Record the block as a span under the active tracer (no-op without
-    one)."""
+#: The context manager every idle :func:`span` (and
+#: :func:`repro.perf.timers.stage`) returns: shared, reentrant, free.
+NOOP: ContextManager[None] = nullcontext()
+
+
+def span(name: str, **args) -> ContextManager[None]:
+    """Record the block as a span under the active tracer.
+
+    Without one the shared :data:`NOOP` comes back, so an idle span
+    costs one context-variable lookup and builds no context manager.
+    """
     tracer = current_tracer()
     if tracer is None:
-        yield
-        return
+        return NOOP
+    return _recorded(tracer, name, args)
+
+
+@contextmanager
+def _recorded(tracer: SpanTracer, name: str, args: dict) -> Iterator[None]:
     sid = tracer.open(name, args)
     try:
         yield

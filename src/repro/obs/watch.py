@@ -26,7 +26,11 @@ prior ones:
   failure.  Entries from a different workload size are never compared
   (the digest only covers the simulated subset, which saturates at
   ``SIMULATED_CASES``, so two digest-equal runs can still sweep
-  different corpus sizes).
+  different corpus sizes);
+* the **corpus digest** (``corpus_digest``, over every swept case) is
+  flagged when it differs from the last prior entry of the same
+  ``preset`` / ``count`` / ``master_seed``: a deliberate behaviour
+  change shows up there and has to be acknowledged.
 
 :func:`watch_trajectory` returns a :class:`WatchReport` whose
 :meth:`~WatchReport.render_markdown` is the artifact CI uploads;
@@ -76,7 +80,7 @@ class SeriesVerdict:
     """One watched series: baseline statistics vs the latest value."""
 
     name: str
-    kind: str  # "time" | "deterministic"
+    kind: str  # "time" | "throughput" | "deterministic" | "digest"
     n_prior: int
     baseline: float | None  # median of prior entries (time series)
     latest: float | None
@@ -348,6 +352,43 @@ def watch_trajectory(
             f"{'y' if skipped_workloads == 1 else 'ies'} ran a different "
             "workload (count/master_seed); deterministic series were not "
             "compared against them"
+        )
+    # -- corpus digest ------------------------------------------------------
+    # It covers every swept case, so within one workload (preset, count,
+    # seed) any change is a behaviour change that must be explained.
+    latest_corpus = latest.get("corpus_digest")
+    corpus_workload = (
+        latest.get("preset"),
+        latest.get("count"),
+        latest.get("master_seed"),
+    )
+    corpus_prior = [
+        e
+        for e in prior
+        if e.get("corpus_digest")
+        and (e.get("preset"), e.get("count"), e.get("master_seed"))
+        == corpus_workload
+    ]
+    if latest_corpus and corpus_prior:
+        reference = corpus_prior[-1]["corpus_digest"]
+        drifted = reference != latest_corpus
+        verdicts.append(
+            SeriesVerdict(
+                name="corpus_digest",
+                kind="digest",
+                n_prior=len(corpus_prior),
+                baseline=None,
+                latest=None,
+                limit=None,
+                flagged=drifted,
+                detail=(
+                    f"corpus digest {latest_corpus[:16]} differs from "
+                    f"{reference[:16]} of the last prior entry of the same "
+                    "preset, count and seed: the scheduled cases changed"
+                    if drifted
+                    else ""
+                ),
+            )
         )
     for name, values in _point_series(entries).items():
         last = values[-1]

@@ -170,7 +170,15 @@ def bench_generate() -> dict:
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    """Run the gate; any command-line argument is an error (exit 2)."""
+    if argv:
+        print(
+            f"usage: python -m repro.perf.genbench (takes no arguments; the "
+            f"shape is the module constants PRESET, COUNT, REPS, MIN_RATIO); got {' '.join(argv)}",
+            file=sys.stderr,
+        )
+        return 2
     record = bench_generate()
     for shape in record["shapes"]:
         ratio = (
@@ -209,4 +217,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

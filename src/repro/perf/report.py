@@ -19,6 +19,7 @@ block is that profile's stage table.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -31,6 +32,7 @@ from repro import __version__, kernels
 from repro.core.scheduler import SchedulerConfig
 from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
+from repro.metrics.stats import aggregate_results
 from repro.obs.metrics import collect_metrics
 from repro.obs.prof import metrics_block, profile_block, render_profile
 from repro.obs.runtime import analyze_trace
@@ -137,6 +139,11 @@ class PerfReport:
             f"{wall_line}   {stages}",
             f"results digest {d['results_digest'][:16]}...",
         ]
+        if d.get("corpus_digest"):
+            lines.append(
+                f"corpus digest {d['corpus_digest'][:16]}... "
+                f"(every swept case)"
+            )
         for i, leg in enumerate(d.get("legs", ())):
             if "wall_s" in leg:
                 lines.append(
@@ -199,7 +206,8 @@ def trajectory_entry(data: dict, label: str = "") -> dict:
     (:mod:`repro.obs.watch`) compares across runs: identity, timings
     per stage, throughput, the headline sweep numbers, the
     ``results_digest`` that separates behaviour changes from perf
-    changes, and a trimmed resource profile (per-kernel timings, GC,
+    changes (plus the ``corpus_digest`` of every swept case), and a
+    trimmed resource profile (per-kernel timings, GC,
     peak RSS) so ``watch --explain`` can attribute a flagged
     regression.  Works on a live report's ``.data`` and on any
     committed ``BENCH_*.json``.
@@ -226,6 +234,7 @@ def trajectory_entry(data: dict, label: str = "") -> dict:
                 "cases": leg.get("cases"),
                 "wall_s": leg.get("wall_s"),
                 "cases_per_s": leg.get("cases_per_s"),
+                "digest": leg.get("digest"),
             }
             for leg in data.get("legs", ())
             if "wall_s" in leg
@@ -238,6 +247,7 @@ def trajectory_entry(data: dict, label: str = "") -> dict:
         if profile
         else None,
         "results_digest": data.get("results_digest"),
+        "corpus_digest": data.get("corpus_digest"),
         "points": [
             {
                 "value": p.get("value"),
@@ -278,13 +288,14 @@ def run_perf_report(
     digests) at 1024 PEs.  A ``progress`` meter is told the run's case
     total, then advanced after each sweep point and after the
     simulation corpus.
+
+    Every swept case is digested too: each point's rows get their
+    ``results_digest``, each leg a digest over its points' digests,
+    and the record a ``corpus_digest`` over every point's.  The
+    digesting runs outside the timed walls (``digest_s`` says how
+    long it took), so the walls time what the sweep does.
     """
-    from repro.experiments.sweeps import (
-        ExperimentPoint,
-        _set_axis,
-        run_corpus,
-        run_point,
-    )
+    from repro.experiments.sweeps import ExperimentPoint, _set_axis, run_corpus
 
     if preset not in PRESETS:
         raise ValueError(
@@ -309,8 +320,11 @@ def run_perf_report(
     # serves) before the clock starts, so no stage pays for the import.
     kernels.resolved_backend()
     start = time.perf_counter()
-    swept: list[tuple[str, object, object]] = []  # (axis, value, stats)
+    # (axis, value, stats, results_digest of the point's rows)
+    swept: list[tuple[str, object, object, str]] = []
     leg_walls: list[float] = []
+    leg_digests: list[str] = []
+    digest_s = 0.0
     sim_count = min(count, SIMULATED_CASES)
     total_cases = sum(len(vals) for _, vals, _ in legs) * count + sim_count
     if progress is not None:
@@ -327,13 +341,24 @@ def run_perf_report(
                 point = _set_axis(point, over_axis, over_value)
             if leg_index == 0:
                 sim_base = point
-            leg_start = time.perf_counter()
+            leg_wall = 0.0
+            point_digests: list[str] = []
             for value in leg_values:
-                stats = run_point(_set_axis(point, axis, value), jobs=jobs)
-                swept.append((axis, value, stats))
+                swept_at = time.perf_counter()
+                rows = run_corpus(
+                    _set_axis(point, axis, value), jobs=jobs, compact=True
+                )
+                stats = aggregate_results(rows)
+                timed_end = time.perf_counter()
+                leg_wall += timed_end - swept_at
+                point_digests.append(results_digest(rows))
+                del rows
+                digest_s += time.perf_counter() - timed_end
+                swept.append((axis, value, stats, point_digests[-1]))
                 if progress is not None:
                     progress.advance(count)
-            leg_walls.append(time.perf_counter() - leg_start)
+            leg_walls.append(leg_wall)
+            leg_digests.append(_digest_of(point_digests))
         sim_results = run_corpus(sim_base.with_(count=sim_count), jobs=jobs)
         for result in sim_results:
             program = MachineProgram.from_schedule(result.schedule)
@@ -345,7 +370,7 @@ def run_perf_report(
             analyze_trace(program, trace)
         if progress is not None:
             progress.advance(len(sim_results))
-    wall = time.perf_counter() - start
+    wall = time.perf_counter() - start - digest_s
     profile = profile_block(registry)
     merged = metrics_block(registry)
     # Pool workers count their dispatches into the merged metrics, not
@@ -367,8 +392,9 @@ def run_perf_report(
             "static": stats.static.mean,
             "mean_barriers": stats.mean_barriers,
             "mean_makespan_max": stats.mean_makespan_max,
+            "digest": digest,
         }
-        for axis, value, stats in swept
+        for axis, value, stats, digest in swept
     ]
     data = {
         "format": _FORMAT,
@@ -393,6 +419,7 @@ def run_perf_report(
                 "cases_per_s": (
                     len(vals) * count / leg_walls[i] if leg_walls[i] else 0.0
                 ),
+                "digest": leg_digests[i],
             }
             for i, (axis, vals, overrides) in enumerate(legs)
         ],
@@ -404,6 +431,14 @@ def run_perf_report(
         "metrics": merged,
         "profile": profile,
         "results_digest": results_digest(sim_results),
+        "corpus_digest": _digest_of([digest for *_, digest in swept]),
+        "digest_s": digest_s,
         "points": points,
     }
     return PerfReport(data)
+
+
+def _digest_of(digests: list[str]) -> str:
+    """sha256 over a sequence of ``results_digest`` hex strings."""
+    blob = json.dumps(digests, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -13,9 +13,11 @@ CPU seconds, peak RSS and peak-RSS growth into the metrics registry,
 under the ``prof.*`` names :mod:`repro.obs.prof` owns and derives a
 perf record's ``stages`` and ``profile`` blocks from, and a span of the
 same name into the :class:`repro.obs.spans.SpanTracer`.  With neither
-installed a block costs two context-variable lookups, so the hot paths
-stay instrumented unconditionally; under ``REPRO_OBS_DISABLE=1`` it
-records nothing.
+installed :func:`stage` returns the shared no-op
+:data:`repro.obs.spans.NOOP`: a block costs two context-variable
+lookups and builds no context manager, so the hot paths stay
+instrumented unconditionally; under ``REPRO_OBS_DISABLE=1`` it records
+nothing.
 
 Stages nest (``merge`` time is part of ``insert``, which is part of
 ``schedule``), so the stage times do not sum to wall time.  Pool
@@ -26,11 +28,11 @@ included, back to the parent (see :mod:`repro.perf.parallel`).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import ContextManager, Iterator
 
-from repro.obs.metrics import current_registry
+from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.prof import STAGE, STAGE_RSS, UNTIMED, Timer, rss_bytes, sample_rss
-from repro.obs.spans import current_tracer
+from repro.obs.spans import NOOP, SpanTracer, current_tracer
 
 __all__ = ["STAGES", "stage"]
 
@@ -38,21 +40,28 @@ __all__ = ["STAGES", "stage"]
 STAGES = ("generate", "schedule", "insert", "merge", "simulate")
 
 
-@contextmanager
-def stage(name: str) -> Iterator[None]:
+def stage(name: str) -> ContextManager[None]:
     """Time the block under ``name`` into the active registry and open a
-    span of that name under the active tracer (no-op without either).
+    span of that name under the active tracer.
 
     ``name`` must be one of :data:`STAGES` -- an unknown name raises
-    immediately rather than silently timing a stage no report shows.
+    at the call rather than silently timing a stage no report shows.
+    With neither collector installed the shared no-op
+    :data:`repro.obs.spans.NOOP` comes back.
     """
     if name not in STAGES:
         raise ValueError(f"unknown timing stage {name!r}")
     reg = current_registry()
     tracer = current_tracer()
     if reg is None and tracer is None:
-        yield
-        return
+        return NOOP
+    return _recorded(name, reg, tracer)
+
+
+@contextmanager
+def _recorded(
+    name: str, reg: MetricsRegistry | None, tracer: SpanTracer | None
+) -> Iterator[None]:
     sid = tracer.open(name) if tracer is not None else None
     rss0 = rss_bytes() if reg is not None else 0
     try:

@@ -98,7 +98,15 @@ def bench_width() -> dict:
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    """Run the gate; any command-line argument is an error (exit 2)."""
+    if argv:
+        print(
+            f"usage: python -m repro.perf.widthbench (takes no arguments; the "
+            f"shape is the module constants COUNT, NARROW_PES, REPS, MAX_RATIO); got {' '.join(argv)}",
+            file=sys.stderr,
+        )
+        return 2
     record = bench_width()
     for point in record["points"]:
         print(
@@ -130,4 +138,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -121,6 +121,73 @@ class TestLongestPaths:
         assert dag.longest_path_max(0, 3) == 10  # via 1
 
 
+def _walk_from(dag, u, use_max):
+    """Reference: longest ``u -> v`` path lengths by a topological walk
+    over every edge (``None`` where ``u`` does not reach ``v``)."""
+    best = {u: 0}
+    for bid in dag.barrier_ids:
+        if bid not in best:
+            continue
+        for s in dag.succs(bid):
+            w = dag.weight(bid, s)
+            cand = best[bid] + (w.hi if use_max else w.lo)
+            if cand > best.get(s, -1):
+                best[s] = cand
+    return {v: best.get(v) for v in dag.barrier_ids}
+
+
+class TestLongestFromInitial:
+    """Longest paths from b0 are read off the fire times; they must equal
+    the topological walk for every barrier."""
+
+    @staticmethod
+    def _scheduled_dags(barrier_latency):
+        from repro.core.scheduler import SchedulerConfig, schedule_dag
+        from repro.synth.corpus import compile_case
+        from repro.synth.generator import GeneratorConfig
+
+        for machine, insertion in (("sbm", "conservative"), ("dbm", "optimal")):
+            for seed in range(4):
+                case = compile_case(
+                    GeneratorConfig(n_statements=30, n_variables=8), seed
+                )
+                result = schedule_dag(
+                    case.dag,
+                    SchedulerConfig(
+                        n_pes=8,
+                        machine=machine,
+                        insertion=insertion,
+                        barrier_latency=barrier_latency,
+                        seed=seed,
+                    ),
+                )
+                # the evolved snapshot the scheduler kept, and a scratch one
+                yield result.schedule.barrier_dag()
+                yield result.schedule._scratch_barrier_dag()
+
+    @pytest.mark.parametrize("barrier_latency", [0, 2])
+    def test_matches_topological_walk(self, barrier_latency):
+        checked = 0
+        for dag in self._scheduled_dags(barrier_latency):
+            b0 = dag.initial.id
+            walk_max = _walk_from(dag, b0, use_max=True)
+            walk_min = _walk_from(dag, b0, use_max=False)
+            for v in dag.barrier_ids:
+                assert dag.longest_path_max(b0, v) == walk_max[v]
+                assert dag.longest_path_min(b0, v) == walk_min[v]
+                checked += 1
+        assert checked > 16  # the schedules hold inserted barriers
+
+    def test_second_source_falls_back_to_the_walk(self):
+        # Barrier 3 has no predecessor, so fire(2) counts its path too;
+        # the longest path from b0 must not.
+        dag = make_dag({(0, 1): (1, 1), (1, 2): (1, 1), (3, 2): (9, 9)})
+        assert dag.fire_times()[2] == Interval(9, 9)
+        assert dag.longest_path_max(0, 2) == 2
+        assert dag.longest_path_min(0, 2) == 2
+        assert dag.longest_path_max(0, 3) is None
+
+
 class TestInterop:
     def test_to_networkx(self):
         graph = make_dag(FIG13_EDGES).to_networkx()

@@ -134,38 +134,78 @@ class TestValidation:
             DominatorTree(dag)
 
 
+def spliced(rng, dag):
+    """``dag`` after inserting barrier ``len(dag)`` into a random edge,
+    with a few extra in-edges -- the exact shape Schedule.insert_barrier
+    makes."""
+    n = len(dag)
+    edge = rng.choice(list(dag.edges()))
+    edits = {
+        (edge.src, edge.dst): None,
+        (edge.src, n): Interval(1, 2),
+        (n, edge.dst): Interval(0, 1),
+    }
+    for extra in rng.sample(range(n), k=min(2, n)):
+        if extra not in (edge.src, edge.dst) and not dag.has_path(
+            edge.dst, extra
+        ):
+            edits[(extra, n)] = Interval(0, 3)
+    return dag.evolved_insert(Barrier(n, [0]), edits)
+
+
+def random_trees(seed):
+    """A random reachable dag with its dominator tree built from scratch,
+    then that dag after a splice with the tree evolved from the first."""
+    rng = random.Random(seed)
+    dag = random_reachable_dag(rng, rng.randint(3, 14))
+    fresh = DominatorTree(dag)
+    yield dag, fresh
+    new_dag = spliced(rng, dag)
+    yield new_dag, DominatorTree.evolved(new_dag, fresh, (len(dag),))
+
+
 class TestRandomizedAgainstReferences:
-    """The O(1) Euler-interval ``dominates`` and the binary-lifting NCA
-    against brute-force references on random dags."""
+    """The idom-walking ``dominates``, ``nearest_common_dominator`` and
+    ``depth`` against brute-force references on random dags, for trees
+    built from scratch and trees evolved after a barrier insert."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_dominates_matches_fixpoint_sets(self, seed):
-        rng = random.Random(seed)
-        dag = random_reachable_dag(rng, rng.randint(3, 14))
-        tree = DominatorTree(dag)
-        dom = dominator_sets(dag)
-        for x in dag.barrier_ids:
-            for y in dag.barrier_ids:
-                assert tree.dominates(x, y) == (x in dom[y]), (x, y)
+        for dag, tree in random_trees(seed):
+            dom = dominator_sets(dag)
+            for x in dag.barrier_ids:
+                for y in dag.barrier_ids:
+                    assert tree.dominates(x, y) == (x in dom[y]), (x, y)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_depth_matches_fixpoint_sets(self, seed):
+        for dag, tree in random_trees(50 + seed):
+            dom = dominator_sets(dag)
+            for v in dag.barrier_ids:
+                # every strict dominator is one idom step further up
+                assert tree.depth(v) == len(dom[v]) - 1, v
 
     @pytest.mark.parametrize("seed", range(15))
     def test_nca_matches_chain_walk(self, seed):
-        rng = random.Random(100 + seed)
-        dag = random_reachable_dag(rng, rng.randint(3, 14))
-        tree = DominatorTree(dag)
+        for dag, tree in random_trees(100 + seed):
 
-        def chain(bid):
-            out = [bid]
-            while tree.idom(out[-1]) is not None:
-                out.append(tree.idom(out[-1]))
-            return out
+            def chain(bid):
+                out = [bid]
+                while tree.idom(out[-1]) is not None:
+                    out.append(tree.idom(out[-1]))
+                return out
 
-        for x in dag.barrier_ids:
-            ancestors_x = chain(x)
-            for y in dag.barrier_ids:
-                # deepest node on both idom chains
-                expected = next(a for a in ancestors_x if a in set(chain(y)))
-                assert tree.nearest_common_dominator(x, y) == expected, (x, y)
+            for x in dag.barrier_ids:
+                ancestors_x = chain(x)
+                for y in dag.barrier_ids:
+                    # deepest node on both idom chains
+                    expected = next(
+                        a for a in ancestors_x if a in set(chain(y))
+                    )
+                    assert tree.nearest_common_dominator(x, y) == expected, (
+                        x,
+                        y,
+                    )
 
 
 class TestEvolved:
@@ -177,21 +217,7 @@ class TestEvolved:
         n = rng.randint(4, 12)
         dag = random_reachable_dag(rng, n)
         prev = DominatorTree(dag)
-
-        # splice a new barrier into a random existing edge, with a few
-        # extra in-edges -- the exact shape Schedule.insert_barrier makes
-        edge = rng.choice(list(dag.edges()))
-        edits = {
-            (edge.src, edge.dst): None,
-            (edge.src, n): Interval(1, 2),
-            (n, edge.dst): Interval(0, 1),
-        }
-        for extra in rng.sample(range(n), k=min(2, n)):
-            if extra not in (edge.src, edge.dst) and not dag.has_path(
-                edge.dst, extra
-            ):
-                edits[(extra, n)] = Interval(0, 3)
-        new_dag = dag.evolved_insert(Barrier(n, [0]), edits)
+        new_dag = spliced(rng, dag)
 
         evolved = DominatorTree.evolved(new_dag, prev, (n,))
         fresh = DominatorTree(new_dag)

@@ -14,6 +14,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.spans import (
+    NOOP,
     SpanTracer,
     collect_trace,
     current_tracer,
@@ -28,6 +29,16 @@ class TestSpanRecording:
         assert current_tracer() is None
         with span("schedule", foo=1):
             event("engine.release")
+
+    def test_idle_span_is_one_shared_noop(self):
+        # No tracer: every call hands back the same object, which
+        # records nothing anywhere.
+        assert current_tracer() is None
+        first = span("dom.evolved")
+        assert span("paths.klp", u=1) is first is NOOP
+        with first:
+            with span("inner"):
+                pass
 
     def test_nesting_reconstructed_via_parents(self):
         with collect_trace() as tracer:

@@ -287,6 +287,48 @@ class TestDeterministicSeries:
         assert any("distinct results_digest" in n for n in report.notes)
 
 
+def corpus(digest, preset="paper3500", count=100, seed=0):
+    return dict(
+        entry(digest="sim"),
+        corpus_digest=digest,
+        preset=preset,
+        count=count,
+        master_seed=seed,
+    )
+
+
+class TestCorpusDigest:
+    def test_change_within_preset_and_count_is_flagged(self):
+        report = watch_trajectory([corpus("a"), corpus("a"), corpus("b")])
+        flagged = [v for v in report.flagged if v.name == "corpus_digest"]
+        assert flagged and flagged[0].kind == "digest"
+        assert "scheduled cases changed" in flagged[0].detail
+        assert "corpus_digest" in report.render()
+
+    def test_same_digest_passes(self):
+        report = watch_trajectory([corpus("a"), corpus("a")])
+        digest = [v for v in report.verdicts if v.name == "corpus_digest"]
+        assert digest and not digest[0].flagged and report.ok
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(preset="scale1024"),
+            dict(count=25),
+            dict(seed=3),
+        ],
+    )
+    def test_other_workloads_are_not_compared(self, other):
+        report = watch_trajectory([corpus("a", **other), corpus("b")])
+        assert not [v for v in report.verdicts if v.name == "corpus_digest"]
+
+    def test_entries_without_the_digest_are_skipped(self):
+        old = dict(corpus("a"))
+        del old["corpus_digest"]
+        report = watch_trajectory([old, corpus("b")])
+        assert not [v for v in report.verdicts if v.name == "corpus_digest"]
+
+
 class TestRendering:
     def test_markdown_report_shape(self):
         report = watch_trajectory([entry(), entry(), entry(wall=50.0)])

@@ -79,3 +79,15 @@ class TestMain:
         assert genbench.COUNT == 100
         assert genbench.REPS == 3
         assert genbench.MIN_RATIO == 3.0
+
+
+class TestCommandLine:
+    def test_any_argument_exits_2_without_running(self, monkeypatch, capsys):
+        def boom():
+            raise AssertionError("the gate ran")
+
+        monkeypatch.setattr(genbench, "bench_generate", boom)
+        assert main(["--min-ratio", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.perf.genbench")
+        assert len(err.strip().splitlines()) == 1

@@ -99,3 +99,63 @@ class TestRunPerfReportPresets:
     def test_default_count_comes_from_preset_table(self):
         # Structural only (no run): the CLI passes count=None through.
         assert PRESET_COUNTS["default"] == 25
+
+
+class TestCorpusDigest:
+    """A perf record digests every case it sweeps, outside the walls."""
+
+    def test_digests_cover_every_swept_case(self):
+        import hashlib
+        import json
+
+        from repro.experiments.sweeps import ExperimentPoint, _set_axis, run_corpus
+        from repro.core.scheduler import SchedulerConfig
+        from repro.perf.parallel import results_digest
+        from repro.synth.generator import GeneratorConfig
+
+        data = run_perf_report(count=3, jobs=1, preset="paper3500").data
+        base = ExperimentPoint(
+            generator=GeneratorConfig(n_statements=20, n_variables=8),
+            scheduler=SchedulerConfig(n_pes=8),
+            count=3,
+        )
+
+        def combined(digests):
+            blob = json.dumps(digests, separators=(",", ":")).encode()
+            return hashlib.sha256(blob).hexdigest()
+
+        points = iter(data["points"])
+        every = []
+        for (axis, values, overrides), leg in zip(
+            PRESETS["paper3500"], data["legs"]
+        ):
+            point = base
+            for over_axis, over_value in overrides.items():
+                point = _set_axis(point, over_axis, over_value)
+            digests = []
+            for value in values:
+                row = next(points)
+                expect = results_digest(run_corpus(_set_axis(point, axis, value)))
+                assert row["digest"] == expect
+                digests.append(expect)
+            assert leg["digest"] == combined(digests)
+            every.extend(digests)
+        assert data["corpus_digest"] == combined(every)
+        assert data["digest_s"] >= 0
+        entry = trajectory_entry(data)
+        assert entry["corpus_digest"] == data["corpus_digest"]
+        assert [leg["digest"] for leg in entry["legs"]] == [
+            leg["digest"] for leg in data["legs"]
+        ]
+
+    def test_corpus_digest_same_on_the_pool(self):
+        from repro.perf.parallel import fork_available
+
+        if not fork_available():
+            pytest.skip("needs fork")
+        serial = run_perf_report(count=4, jobs=1).data
+        pooled = run_perf_report(count=4, jobs=2).data
+        assert serial["corpus_digest"] == pooled["corpus_digest"]
+        assert [p["digest"] for p in serial["points"]] == [
+            p["digest"] for p in pooled["points"]
+        ]

@@ -94,6 +94,24 @@ class TestCollection:
         with stage("generate"):
             pass  # must not raise, must not require a registry or tracer
 
+    def test_idle_stage_is_one_shared_noop(self):
+        from repro.obs.spans import NOOP, current_tracer, span
+
+        assert current_tracer() is None
+        first = stage("schedule")
+        assert stage("merge") is first is span("x") is NOOP
+        with first:
+            with stage("insert"):
+                pass
+        # ... and it recorded nothing into a registry installed later.
+        with collect_metrics() as reg:
+            pass
+        assert reg.as_dict() == {"counters": {}, "histograms": {}}
+
+    def test_unknown_stage_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="unknown timing stage"):
+            stage("bogus")  # no ``with``: the call itself raises
+
     def test_stage_rejects_unknown_name(self):
         """A typo'd stage name must fail loudly, not silently time
         nothing."""

@@ -50,3 +50,14 @@ def test_generous_ratio_passes(tiny, monkeypatch, capsys):
     monkeypatch.setattr(widthbench, "MAX_RATIO", 1000.0)
     assert widthbench.main() == 0
     assert "ratio" in capsys.readouterr().out
+
+
+def test_any_argument_exits_2_without_running(monkeypatch, capsys):
+    def boom():
+        raise AssertionError("the gate ran")
+
+    monkeypatch.setattr(widthbench, "bench_width", boom)
+    assert widthbench.main(["--max-ratio", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.perf.widthbench")
+    assert len(err.strip().splitlines()) == 1

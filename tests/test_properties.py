@@ -61,6 +61,11 @@ machine_configs = st.builds(
     n_pes=st.integers(min_value=1, max_value=12),
     machine=st.sampled_from(["sbm", "dbm"]),
     insertion=st.sampled_from(["conservative", "optimal"]),
+    assignment=st.sampled_from(["list", "roundrobin"]),
+    lookahead=st.integers(min_value=0, max_value=3),
+    serialization_slack=st.integers(min_value=0, max_value=4),
+    barrier_latency=st.integers(min_value=0, max_value=2),
+    merge_barriers=st.sampled_from([None, True, False]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 
