@@ -14,7 +14,7 @@ snapshot *incrementally* with :meth:`BarrierDag.evolved_insert` /
 :meth:`BarrierDag.evolved_replace` (fire-time re-propagation limited to
 the affected downstream cone, topological-order splicing, descendant
 bitset patching), falling back to a scratch rebuild only when no cached
-dag exists.  ``REPRO_CHECK_INCREMENTAL=1`` cross-checks every evolved
+dag exists.  ``REPRO_CHECK=1`` cross-checks every evolved
 snapshot against a scratch rebuild (see ``repro.core.schedule``).
 """
 

@@ -430,13 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the report as markdown (the CI artifact)",
     )
     wat.add_argument(
-        "--factor",
-        type=float,
-        default=2.0,
-        help="latest wall/stage time may be at most FACTOR x the median "
-        "of prior entries (plus an absolute noise floor)",
-    )
-    wat.add_argument(
         "--json",
         action="store_true",
         help="emit the verdicts as machine-readable JSON instead of text",
@@ -744,12 +737,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.obs.explain import explain_result
     from repro.obs.provenance import collect_provenance
-    from repro.obs.spans import DISABLED
 
-    if DISABLED:
-        _LOG.warning(
-            "REPRO_OBS_DISABLE is set; no decisions will be recorded"
-        )
     with collect_provenance() as recorder:
         _, result = _schedule_from_args(args)
     report = explain_result(result, recorder)
@@ -1117,15 +1105,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from repro.obs.watch import (
-        WatchConfig,
-        explain_regression,
-        load_trajectory,
-        watch_trajectory,
-    )
+    from repro.obs.watch import explain_regression, load_trajectory, watch_trajectory
 
     entries = load_trajectory(args.trajectory)
-    report = watch_trajectory(entries, WatchConfig(factor=args.factor))
+    report = watch_trajectory(entries)
     explain = explain_regression(entries) if args.explain else None
     if args.json:
         import json
@@ -1184,13 +1167,9 @@ def _run_observed(args, run) -> int:
     if not trace_path and not profile_path:
         return run(args)
     from repro.obs.metrics import collect_metrics
-    from repro.obs.prof import profile_block, render_profile, write_folded
-    from repro.obs.spans import DISABLED, collect_trace
+    from repro.obs.prof import profile_block, render_profile, sample_rss, write_folded
+    from repro.obs.spans import collect_trace
 
-    if DISABLED:
-        _LOG.warning(
-            "REPRO_OBS_DISABLE is set; trace/profile outputs will be empty"
-        )
     if trace_path:
         _preflight_output(trace_path, "trace")
     if profile_path:
@@ -1217,10 +1196,9 @@ def _run_observed(args, run) -> int:
         )
         # ``perf`` prints its own profile block from the report; for the
         # other subcommands the collected accounting surfaces here.
+        sample_rss(registry)
         profile = profile_block(registry)
-        if args.command != "perf" and (
-            profile["kernels"] or profile["stage_rss"] or profile["bytes"]
-        ):
+        if args.command != "perf" and (profile["kernels"] or profile["bytes"]):
             print(render_profile(profile), file=sys.stderr)
     return status
 

@@ -87,7 +87,7 @@ def _dense_step2(
     schedule: Schedule, node: NodeId
 ) -> tuple[int, list[int], list[int]]:
     """Step [2] by definition: scan every PE for ``(best, ties,
-    estimates)``.  The reference that ``REPRO_CHECK_KERNELS=1`` holds
+    estimates)``.  The reference that ``REPRO_CHECK=1`` holds
     :func:`step2_classes` and the numpy kernel to."""
     estimates = [
         _earliest_start_estimate(schedule, node, pe)

@@ -47,8 +47,9 @@ walk over processors (construction, scratch rebuilds, ``makespan``,
 machine on which a block uses a dozen PEs costs about what a 16-PE
 machine does.
 
-Set ``REPRO_CHECK_INCREMENTAL=1`` to cross-check every incremental view
-against a scratch rebuild after each mutation (slow; debug/CI only).
+Set ``REPRO_CHECK=1`` (:func:`repro.kernels.checking`) to cross-check
+every incremental view against a scratch rebuild after each mutation
+(slow; debug/CI only).
 
 The scheduler (:mod:`repro.core.scheduler`) mutates the schedule through
 :meth:`append_instruction`, :meth:`insert_barrier` and
@@ -57,7 +58,6 @@ The scheduler (:mod:`repro.core.scheduler`) mutates the schedule through
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right, insort
 from types import MappingProxyType
 from typing import Iterator, Union
@@ -148,13 +148,6 @@ class Schedule:
         #: Ascending PEs whose stream is more than ``b0``.
         self._active: list[int] = []
         self._processor_of: dict[NodeId, int] = {}
-        #: Total mutation count (observability only -- the caches below
-        #: are maintained incrementally, not keyed on a revision).
-        self.revision = 0
-        #: Structure revision: bumped when the *barrier set* changes
-        #: (insert/replace).  ``revision - structure_revision`` is the
-        #: content revision (instruction appends).
-        self.structure_revision = 0
         # -- per-stream auxiliary tables (O(1) queries, patched per mutation;
         # entries for active PEs only, see _PerPE)
         #: instruction -> (pe, stream index)
@@ -184,15 +177,10 @@ class Schedule:
         #: adjacency list.  Lives and dies with ``_hb_cache``.
         self._hb_pred_cache: dict[HbKey, list[HbKey]] | None = None
         self._hbdesc_cache: dict[int, frozenset[int]] | None = None
-        self._check = os.environ.get("REPRO_CHECK_INCREMENTAL", "") not in ("", "0")
+        self._check = kernels.checking()
         self._rebuild_tables()
 
     # -- bookkeeping -----------------------------------------------------------
-
-    def _bump(self, structure: bool = False) -> None:
-        self.revision += 1
-        if structure:
-            self.structure_revision += 1
 
     def processor_of(self, node: NodeId) -> int:
         return self._processor_of[node]
@@ -367,7 +355,6 @@ class Schedule:
         cum_hi.append(cum_hi[-1] + lat.hi)
         lastbar = self._lastbar[pe]
         lastbar.append(lastbar[-1])
-        self._bump()
         # A content mutation: the node lands in the open region after the
         # stream's last barrier, which no barrier-dag edge covers yet, so
         # the cached dag / dominator tree / fire times all stay valid.  H
@@ -454,7 +441,6 @@ class Schedule:
         }
         old_bd = self._bd_cache
         old_dom = self._dom_cache
-        self._bump(structure=True)
         if old_bd is not None:
             reg = current_registry()
             if reg is not None:
@@ -496,7 +482,6 @@ class Schedule:
             if pos is not None and self.streams[pe][pos] is old:
                 swaps.append((pe, pos))
         if not swaps:
-            self._bump(structure=True)
             return
         # Pre-mutation neighbors: the swap only relabels one endpoint of
         # the stream's adjacent barrier pairs, region sums are untouched.
@@ -539,7 +524,6 @@ class Schedule:
             edits[pair] = self._joined_weight(pair)
         old_bd = self._bd_cache
         old_dom = self._dom_cache
-        self._bump(structure=True)
         if old_bd is not None:
             reg = current_registry()
             if reg is not None:
@@ -751,7 +735,6 @@ class Schedule:
         clone._processor_of = dict(self._processor_of)
         clone._next_barrier_id = self._next_barrier_id
         clone._rebuild_tables()
-        clone._bump(structure=True)
         return clone
 
     # -- stream navigation ----------------------------------------------------------
@@ -1137,7 +1120,7 @@ class Schedule:
         finish at ``[0,0]``, which never raises the join."""
         return interval_max(self.completion(pe) for pe in self._active)
 
-    # -- debug cross-checks (REPRO_CHECK_INCREMENTAL=1) --------------------------------
+    # -- debug cross-checks (REPRO_CHECK=1) --------------------------------------------
 
     def _verify_incremental(self) -> None:
         """Compare every maintained table and live cache against a scratch
@@ -1145,7 +1128,7 @@ class Schedule:
 
         Outcomes are surfaced as obs counters (``views.check.checked``
         counts view cross-checks performed, ``views.check.mismatches``
-        counts divergences) so a ``REPRO_CHECK_INCREMENTAL=1`` run can
+        counts divergences) so a ``REPRO_CHECK=1`` run can
         report how much it actually verified instead of passing
         silently.
         """

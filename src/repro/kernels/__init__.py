@@ -21,11 +21,12 @@ the array setup it would replace.  Results never depend on the choice,
 so there is no user-set backend; a machine without numpy runs every
 routine in pure python.
 
-Cross-check mode (``REPRO_CHECK_KERNELS=1``): every kernel call *also*
-runs the python implementation and asserts bit-identical results,
-mirroring how ``REPRO_CHECK_INCREMENTAL`` pins the incremental views.
-Check mode overrides the thresholds (otherwise small corpora would
-verify nothing); outcomes are counted as ``kernels.check.checked`` /
+Check mode (``REPRO_CHECK=1``, read by :func:`checking`): every kernel
+call *also* runs the python implementation and asserts bit-identical
+results, and every :class:`~repro.core.schedule.Schedule` mutation
+verifies its incremental views against a scratch rebuild.  Check mode
+overrides the thresholds (otherwise small corpora would verify
+nothing); kernel outcomes are counted as ``kernels.check.checked`` /
 ``kernels.check.mismatches``.
 
 Every dispatch decision is counted -- module-locally (always, see
@@ -99,8 +100,10 @@ def have_numpy() -> bool:
 
 
 def checking() -> bool:
-    """True when ``REPRO_CHECK_KERNELS`` asks for per-call cross-checks."""
-    return os.environ.get("REPRO_CHECK_KERNELS", "") not in ("", "0")
+    """True when ``REPRO_CHECK`` asks for the cross-checks: every kernel
+    call against python, every schedule mutation against a scratch
+    rebuild.  Read at each call, so a test can set it per run."""
+    return os.environ.get("REPRO_CHECK", "") not in ("", "0")
 
 
 def resolved_backend() -> str:

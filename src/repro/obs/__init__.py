@@ -2,8 +2,7 @@
 
 Three independent, contextvar-scoped collectors -- tracer, metrics
 registry, provenance recorder -- all opt-in and zero-cost when no
-subscriber is installed (and all hard-disabled by
-``REPRO_OBS_DISABLE=1``), plus the resource accounts kept in the
+subscriber is installed, plus the resource accounts kept in the
 registry and the progress stream ``perf --live`` asks for:
 
 * :mod:`repro.obs.spans` -- hierarchical wall-clock span tracing of the

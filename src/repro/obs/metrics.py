@@ -32,8 +32,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from repro.obs.spans import DISABLED
-
 __all__ = [
     "HistogramStat",
     "MetricsRegistry",
@@ -145,10 +143,7 @@ _registry: ContextVar[MetricsRegistry | None] = ContextVar(
 
 
 def current_registry() -> MetricsRegistry | None:
-    """The active registry, or ``None`` (always ``None`` when
-    ``REPRO_OBS_DISABLE=1``)."""
-    if DISABLED:
-        return None
+    """The active registry, or ``None``."""
     return _registry.get()
 
 

@@ -14,10 +14,11 @@ record's ``profile`` block back from them (:func:`profile_block`):
   the :func:`repro.kernels.timed` dispatch boundary, so a perf report
   can say "``batch.numpy`` cost 4.1s over 35 calls";
 * **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``;
-  histogram ``prof.peak_rss``, whose max is the peak), per-stage RSS
-  growth sampled by ``stage()`` (counters ``prof.stage_rss.<stage>``),
-  and explicit byte accounts for the big allocations, padded batch
-  tensors and the vectorized generator's drawn arrays (counters
+  histogram ``prof.peak_rss``, whose max is the peak), sampled by
+  :func:`sample_rss` once where a registry's work ends (a pool worker
+  before it ships its registry, a report before it derives the
+  profile), and explicit byte accounts for the big allocations, padded
+  batch tensors and the vectorized generator's drawn arrays (counters
   ``prof.bytes.<account>``, fed by :func:`add_bytes`);
 * **GC pauses** -- one ``prof.gc.pause_s`` observation per collection
   and the objects collected (counter ``prof.gc.collected``), captured
@@ -30,10 +31,10 @@ record's ``profile`` block back from them (:func:`profile_block`):
   ``flamegraph.pl`` alike; ``--profile FILE`` on the CLI writes it.
 
 Everything records into the active registry (``collect_metrics``) and
-nothing without one, or under ``REPRO_OBS_DISABLE=1``.  Pool workers
-ship these entries home inside their registry, whose merge sums counts
-and totals and max-merges maxima, so the derived block does not depend
-on worker completion order.  Profiling is observation only:
+nothing without one.  Pool workers ship these entries home inside
+their registry, whose merge sums counts and totals and max-merges
+maxima, so the derived block does not depend on worker completion
+order.  Profiling is observation only:
 ``results_digest`` is bit-identical with a registry installed or not.
 """
 
@@ -70,8 +71,6 @@ PREFIX = "prof."
 STAGE = "prof.stage."
 #: ``<KERNEL><kernel>.<backend>.wall_s`` / ``.cpu_s`` histograms.
 KERNEL = "prof.kernel."
-#: ``<STAGE_RSS><stage>`` counters: summed positive peak-RSS growth.
-STAGE_RSS = "prof.stage_rss."
 #: ``<BYTES><account>`` counters: explicit allocation footprints.
 BYTES = "prof.bytes."
 #: Histogram of peak-RSS samples; its max is the extent's peak.
@@ -200,8 +199,8 @@ def profile_block(reg: MetricsRegistry) -> dict:
     """A perf record's ``profile`` block from a registry's entries.
 
     ``stages`` and ``kernels`` map each key to its ``count`` / ``wall_s``
-    / ``cpu_s`` / ``max_s``; ``stage_rss`` and ``bytes`` map names to
-    bytes; ``peak_rss`` is the largest sample; ``gc`` holds ``pauses``,
+    / ``cpu_s`` / ``max_s``; ``bytes`` maps account names to bytes;
+    ``peak_rss`` is the largest sample; ``gc`` holds ``pauses``,
     ``pause_s`` and ``collected``.  An empty registry gives empty tables
     and zeros.
     """
@@ -210,7 +209,6 @@ def profile_block(reg: MetricsRegistry) -> dict:
     return {
         "stages": _timings(reg, STAGE),
         "kernels": _timings(reg, KERNEL),
-        "stage_rss": _counts(reg, STAGE_RSS),
         "bytes": _counts(reg, BYTES),
         "peak_rss": int(peak.max) if peak is not None else 0,
         "gc": {
@@ -252,12 +250,6 @@ def render_profile(profile: Mapping, top: int = 8) -> str:
             f"wall {stat['wall_s']:.3f}s  cpu {stat['cpu_s']:.3f}s  "
             f"max {stat['max_s'] * 1e3:.3f}ms"
         )
-    if profile["stage_rss"]:
-        growth = "  ".join(
-            f"{stage} +{_fmt_bytes(delta)}"
-            for stage, delta in sorted(profile["stage_rss"].items())
-        )
-        lines.append(f"  rss growth: {growth}")
     if profile["bytes"]:
         accounts = "  ".join(
             f"{key} {_fmt_bytes(n)}" for key, n in sorted(profile["bytes"].items())

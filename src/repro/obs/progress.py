@@ -14,8 +14,7 @@ Two sinks ship with the CLI's ``perf --live`` flag:
 A meter is an explicit output, not a collector: ``perf --live``
 builds one and hands it to :func:`repro.perf.report.run_perf_report`,
 which sets its total and advances it after each sweep point and after
-the simulation corpus; nothing else reports progress, and
-``REPRO_OBS_DISABLE=1`` does not silence a meter that was asked for.
+the simulation corpus; nothing else reports progress.
 Heartbeats are throttled to one per :data:`HEARTBEAT_INTERVAL_S` so
 frequent advances do not spend their time formatting status lines.
 Progress is observation only -- the report advances the meter strictly

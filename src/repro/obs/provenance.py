@@ -30,8 +30,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.spans import DISABLED
-
 __all__ = [
     "AssignmentDecision",
     "BarrierDecision",
@@ -202,10 +200,7 @@ _recorder: ContextVar[ProvenanceRecorder | None] = ContextVar(
 
 
 def current_recorder() -> ProvenanceRecorder | None:
-    """The active recorder, or ``None`` (always ``None`` when
-    ``REPRO_OBS_DISABLE=1``)."""
-    if DISABLED:
-        return None
+    """The active recorder, or ``None``."""
     return _recorder.get()
 
 

@@ -17,9 +17,7 @@ into it.  With no subscriber :func:`span` returns the shared no-op
 :data:`NOOP`, so a block costs one context-variable lookup and builds
 no context manager, and the pipeline's results are bit-identical
 either way (tracing is observation only; it never touches the RNG or
-any decision).  ``REPRO_OBS_DISABLE=1`` hard-disables every recording
-entry point regardless of subscribers -- the kill switch the CI
-overhead guard measures against.
+any decision).
 
 Timestamps are microseconds relative to the tracer's epoch
 (``time.perf_counter()`` at installation); each tracer also records a
@@ -48,10 +46,6 @@ __all__ = [
     "span",
     "event",
 ]
-
-#: Hard kill switch: with ``REPRO_OBS_DISABLE=1`` every recording entry
-#: point returns immediately, subscribers or not.  Read once at import.
-DISABLED = os.environ.get("REPRO_OBS_DISABLE", "") not in ("", "0")
 
 
 @dataclass(slots=True)
@@ -232,9 +226,7 @@ _tracer: ContextVar[SpanTracer | None] = ContextVar("repro_obs_tracer", default=
 
 
 def current_tracer() -> SpanTracer | None:
-    """The active tracer, or ``None`` (always ``None`` when hard-disabled)."""
-    if DISABLED:
-        return None
+    """The active tracer, or ``None``."""
     return _tracer.get()
 
 

@@ -7,7 +7,7 @@ series and compares the **latest** entry against the statistics of the
 prior ones:
 
 * **wall-clock series** (``wall_s``, per-stage times) are flagged when
-  the latest value exceeds ``factor x median(prior)`` plus an absolute
+  the latest value exceeds ``FACTOR x median(prior)`` plus an absolute
   noise floor -- the same 2x-with-floor discipline the CI perf gates
   already use, but applied to the whole series instead of one pinned
   baseline, so a slow drift across many commits is caught even when no
@@ -48,7 +48,6 @@ from statistics import median
 __all__ = [
     "ExplainReport",
     "RegressionCause",
-    "WatchConfig",
     "SeriesVerdict",
     "WatchReport",
     "explain_regression",
@@ -56,23 +55,14 @@ __all__ = [
     "watch_trajectory",
 ]
 
-#: Wall-time series: (name, extractor, absolute noise floor in seconds).
-_WALL_FLOOR = 1.5
-_STAGE_FLOOR = 0.5
+#: The latest wall/stage time may be at most ``max(FACTOR x median,
+#: median + floor)`` of the prior entries: the CI perf gates' factor,
+#: with absolute floors (seconds) so sub-second workloads cannot flag
+#: on noise.
+FACTOR = 2.0
+WALL_FLOOR_S = 1.5
+STAGE_FLOOR_S = 0.5
 _STAGE_NAMES = ("generate", "schedule", "insert", "merge", "simulate")
-
-
-@dataclass(frozen=True)
-class WatchConfig:
-    """Thresholds of the watchdog (defaults mirror the CI perf gates)."""
-
-    #: Latest wall/stage time may be at most ``factor x median(prior)``.
-    factor: float = 2.0
-    #: Absolute floors so sub-second workloads cannot flag on noise.
-    wall_floor_s: float = _WALL_FLOOR
-    stage_floor_s: float = _STAGE_FLOOR
-    #: Minimum prior entries before time series are judged at all.
-    min_history: int = 1
 
 
 @dataclass(frozen=True)
@@ -223,11 +213,8 @@ def _point_series(entries: list[dict]) -> dict[str, list[float | None]]:
     return series
 
 
-def watch_trajectory(
-    entries: list[dict], config: WatchConfig | None = None
-) -> WatchReport:
+def watch_trajectory(entries: list[dict]) -> WatchReport:
     """Judge the latest trajectory entry against the prior series."""
-    config = config or WatchConfig()
     if len(entries) < 2:
         return WatchReport(
             entries=len(entries),
@@ -261,11 +248,11 @@ def watch_trajectory(
             if v is not None and same
         ]
         last = values[-1]
-        if last is None or len(hist) < config.min_history:
+        if last is None or not hist:
             continue
         base = median(hist)
-        floor = config.wall_floor_s if name == "wall_s" else config.stage_floor_s
-        limit = max(config.factor * base, base + floor)
+        floor = WALL_FLOOR_S if name == "wall_s" else STAGE_FLOOR_S
+        limit = max(FACTOR * base, base + floor)
         verdicts.append(
             SeriesVerdict(
                 name=name,
@@ -277,7 +264,7 @@ def watch_trajectory(
                 flagged=last > limit,
                 detail=(
                     f"latest {last:.3f}s exceeds {limit:.3f}s "
-                    f"({config.factor:.1f}x median of {len(hist)} prior runs)"
+                    f"({FACTOR:.1f}x median of {len(hist)} prior runs)"
                     if last > limit
                     else ""
                 ),
@@ -293,13 +280,13 @@ def watch_trajectory(
     latest_rate = latest.get("cases_per_s")
     if (
         latest_rate
-        and len(rate_hist) >= config.min_history
+        and rate_hist
         # Sub-second workloads are all noise; same discipline as the
         # wall floor, expressed on the rate's underlying wall time.
-        and (latest.get("wall_s") or 0.0) >= config.wall_floor_s
+        and (latest.get("wall_s") or 0.0) >= WALL_FLOOR_S
     ):
         base = median(rate_hist)
-        limit = base / config.factor
+        limit = base / FACTOR
         flagged = latest_rate < limit
         verdicts.append(
             SeriesVerdict(
@@ -313,7 +300,7 @@ def watch_trajectory(
                 detail=(
                     f"latest {latest_rate:.1f} cases/s fell below "
                     f"{limit:.1f} (median of {len(rate_hist)} prior runs "
-                    f"/ {config.factor:.1f})"
+                    f"/ {FACTOR:.1f})"
                     if flagged
                     else ""
                 ),

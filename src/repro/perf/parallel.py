@@ -49,6 +49,7 @@ from repro.core import batchrun
 from repro.core.scheduler import ScheduleResult, SchedulerConfig, SyncCounts
 from repro.io import result_summary
 from repro.obs import metrics as obs_metrics
+from repro.obs import prof as obs_prof
 from repro.obs.provenance import current_recorder
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
@@ -151,7 +152,7 @@ def _run_worker(point, seeds, accept, compact, collectors):
     made into the copies would be lost, so the worker installs a fresh
     one for each the parent has active and none for the other.  Returns
     the chunk's results plus each collector's state (``None`` where not
-    installed).
+    installed); a shipped registry carries the worker's peak RSS.
     """
     trace, metrics = collectors
     tracing = collect_trace() if trace else nullcontext()
@@ -160,6 +161,8 @@ def _run_worker(point, seeds, accept, compact, collectors):
     # its GC hook finds it.
     with tracing as tracer, counting as registry:
         results = run_chunk(point, seeds, accept, compact)
+    if registry is not None:
+        obs_prof.sample_rss(registry)
     return results, (
         tracer.export_state() if tracer is not None else None,
         registry.as_dict() if registry is not None else None,

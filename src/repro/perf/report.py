@@ -34,7 +34,7 @@ from repro.machine.program import MachineProgram
 from repro.machine.sbm import simulate_sbm
 from repro.metrics.stats import aggregate_results
 from repro.obs.metrics import collect_metrics
-from repro.obs.prof import metrics_block, profile_block, render_profile
+from repro.obs.prof import metrics_block, profile_block, render_profile, sample_rss
 from repro.obs.runtime import analyze_trace
 from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.parallel import resolve_jobs, results_digest
@@ -153,7 +153,6 @@ class PerfReport:
                 )
         profile = d.get("profile")
         if profile and (profile.get("kernels") or profile.get("peak_rss")):
-            # An all-zero profile (REPRO_OBS_DISABLE=1) prints nothing.
             lines.append(render_profile(profile, top=3))
         backend = d.get("backend")
         if backend:
@@ -188,9 +187,8 @@ class PerfReport:
 
 def stages_block(profile: dict) -> dict:
     """A record's ``stages`` block from its ``profile`` block: each
-    stage's wall seconds, plus ``cpu`` seconds for the stages that ran
-    (all zero under ``REPRO_OBS_DISABLE=1``, which leaves the profile
-    empty)."""
+    stage's wall seconds (0 for a stage that never ran), plus ``cpu``
+    seconds for the stages that ran."""
     ran = profile["stages"]
     block: dict = {
         name: ran[name]["wall_s"] if name in ran else 0.0 for name in STAGES
@@ -371,6 +369,7 @@ def run_perf_report(
         if progress is not None:
             progress.advance(len(sim_results))
     wall = time.perf_counter() - start - digest_s
+    sample_rss(registry)
     profile = profile_block(registry)
     merged = metrics_block(registry)
     # Pool workers count their dispatches into the merged metrics, not

@@ -9,15 +9,15 @@ The pipeline has five instrumented stages:
 ``simulate``   cycle-accurate machine execution
 
 A :func:`stage` block records into the active collectors: its wall and
-CPU seconds, peak RSS and peak-RSS growth into the metrics registry,
-under the ``prof.*`` names :mod:`repro.obs.prof` owns and derives a
-perf record's ``stages`` and ``profile`` blocks from, and a span of the
-same name into the :class:`repro.obs.spans.SpanTracer`.  With neither
-installed :func:`stage` returns the shared no-op
-:data:`repro.obs.spans.NOOP`: a block costs two context-variable
-lookups and builds no context manager, so the hot paths stay
-instrumented unconditionally; under ``REPRO_OBS_DISABLE=1`` it records
-nothing.
+CPU seconds into the metrics registry, under the ``prof.stage.*`` names
+:mod:`repro.obs.prof` owns and derives a perf record's ``stages`` and
+``profile`` blocks from, and a span of the same name into the
+:class:`repro.obs.spans.SpanTracer`.  With a registry alone the block
+is a :class:`repro.obs.prof.Timer`, as :func:`repro.kernels.timed`
+returns; only a tracer needs a generator.  With neither installed
+:func:`stage` returns the shared no-op :data:`repro.obs.spans.NOOP`: a
+block costs two context-variable lookups and builds no context
+manager, so the hot paths stay instrumented unconditionally.
 
 Stages nest (``merge`` time is part of ``insert``, which is part of
 ``schedule``), so the stage times do not sum to wall time.  Pool
@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from typing import ContextManager, Iterator
 
 from repro.obs.metrics import MetricsRegistry, current_registry
-from repro.obs.prof import STAGE, STAGE_RSS, UNTIMED, Timer, rss_bytes, sample_rss
+from repro.obs.prof import STAGE, UNTIMED, Timer
 from repro.obs.spans import NOOP, SpanTracer, current_tracer
 
 __all__ = ["STAGES", "stage"]
@@ -53,26 +53,18 @@ def stage(name: str) -> ContextManager[None]:
         raise ValueError(f"unknown timing stage {name!r}")
     reg = current_registry()
     tracer = current_tracer()
-    if reg is None and tracer is None:
-        return NOOP
-    return _recorded(name, reg, tracer)
+    if tracer is None:
+        return NOOP if reg is None else Timer(reg, STAGE + name)
+    return _traced(name, reg, tracer)
 
 
 @contextmanager
-def _recorded(
-    name: str, reg: MetricsRegistry | None, tracer: SpanTracer | None
+def _traced(
+    name: str, reg: MetricsRegistry | None, tracer: SpanTracer
 ) -> Iterator[None]:
-    sid = tracer.open(name) if tracer is not None else None
-    rss0 = rss_bytes() if reg is not None else 0
+    sid = tracer.open(name)
     try:
         with Timer(reg, STAGE + name) if reg is not None else UNTIMED:
             yield
     finally:
-        if reg is not None:
-            # ru_maxrss is a high-water mark: a stage is charged only
-            # when it pushed the peak higher.
-            grown = sample_rss(reg) - rss0
-            if grown > 0:
-                reg.inc(STAGE_RSS + name, grown)
-        if tracer is not None:
-            tracer.close(sid)
+        tracer.close(sid)

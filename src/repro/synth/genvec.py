@@ -29,7 +29,7 @@ that are *bit-identical* by construction:
 Dispatch rides the existing kernel machinery: the batch runs vectorized
 when numpy imports and its size reaches ``THRESHOLDS["genvec"]``,
 every decision is counted
-under ``kernels.calls.genvec.*``, and ``REPRO_CHECK_KERNELS=1``
+under ``kernels.calls.genvec.*``, and ``REPRO_CHECK=1``
 cross-checks every vectorized case against :func:`compile_case`.
 
 Blocks with ``p_nested > 0`` recurse into variable-depth expression

@@ -10,7 +10,7 @@ These tests pin the contract that makes that safe:
   random) every materialized view is equal to a cold scratch rebuild;
 * the end-to-end corpus digest is bit-identical to the value recorded
   before the optimization, so no observable scheduling decision moved;
-* ``REPRO_CHECK_INCREMENTAL=1`` wires the same scratch cross-check into
+* ``REPRO_CHECK=1`` wires the same scratch cross-check into
   every mutation, and the full pipeline runs clean under it.
 """
 
@@ -85,7 +85,7 @@ class TestSchedulerDrivenEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("machine", ["sbm", "dbm"])
     def test_pipeline_clean_under_cross_check(self, monkeypatch, seed, machine):
-        monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         case = make_case(n_statements=24, n_variables=6, seed=seed)
         cfg = SchedulerConfig(n_pes=4, machine=machine, seed=seed)
         result = schedule_dag(case.dag, cfg)
@@ -94,7 +94,7 @@ class TestSchedulerDrivenEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_optimal_mode_clean_under_cross_check(self, monkeypatch, seed):
-        monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         case = make_case(n_statements=18, n_variables=5, seed=seed)
         cfg = SchedulerConfig(n_pes=3, insertion="optimal", seed=seed)
         result = schedule_dag(case.dag, cfg)

@@ -227,7 +227,7 @@ class TestSparseSchedule:
         assert sched.used_processors() == 0
 
     def test_insert_barrier_on_idle_pe_activates_it(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         sched = Schedule(busy_fan_dag(), 16)
         sched.append_instruction(2, "p0")
         bar = sched.insert_barrier({2: 2, 9: 1})

@@ -19,7 +19,7 @@ from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.obs.metrics import collect_metrics
 from repro.obs.provenance import collect_provenance
-from repro.perf.parallel import results_digest
+from repro.perf.parallel import fork_available, results_digest
 from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
@@ -99,22 +99,23 @@ def test_wide_digest_pinned(name, backend, request):
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_wide_digest_pinned_under_cross_checks(backend, request, monkeypatch):
-    """Every incremental view, and step [2] and the lookahead divert on
-    the path this backend takes (the idle classes on python, the numpy
-    kernel on numpy), is checked against its dense reference while the
-    pinned digest reproduces."""
+    """Under the one ``REPRO_CHECK`` switch, every incremental view, and
+    step [2] and the lookahead divert on the path this backend takes
+    (the idle classes on python, the numpy kernel on numpy), is checked
+    against its dense reference while the pinned digest reproduces, in
+    process and, where fork exists, in pool workers."""
     use_path(request, backend)
-    monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
-    monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
-    with collect_metrics() as metrics:
-        results = run_corpus(wide_point("lookahead4"), jobs=1)
-    assert results_digest(results) == WIDE_PINS["lookahead4"][3]
-    counters = metrics.as_dict()["counters"]
-    assert counters.get(f"kernels.calls.assign.{backend}", 0) > 0
-    assert counters.get("kernels.check.checked", 0) > 0
-    assert counters.get("views.check.checked", 0) > 0
-    assert counters.get("kernels.check.mismatches", 0) == 0
-    assert counters.get("views.check.mismatches", 0) == 0
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    for jobs in (1, 2) if fork_available() else (1,):
+        with collect_metrics() as metrics:
+            results = run_corpus(wide_point("lookahead4"), jobs=jobs)
+        assert results_digest(results) == WIDE_PINS["lookahead4"][3], jobs
+        counters = metrics.as_dict()["counters"]
+        assert counters.get(f"kernels.calls.assign.{backend}", 0) > 0, jobs
+        assert counters.get("kernels.check.checked", 0) > 0, jobs
+        assert counters.get("views.check.checked", 0) > 0, jobs
+        assert counters.get("kernels.check.mismatches", 0) == 0, jobs
+        assert counters.get("views.check.mismatches", 0) == 0, jobs
 
 
 def test_lookahead_point_diverts():

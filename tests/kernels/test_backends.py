@@ -7,9 +7,9 @@ accelerators that must be bit-identical.  These tests pin
   reaches its size threshold, or check mode is on; there is no
   user-set backend;
 * corpus ``results_digest`` parity between the python path (numpy
-  patched out) and the kernels -- with ``REPRO_CHECK_KERNELS=1``
-  forcing every kernel on (so small corpora actually exercise them)
-  and with ``REPRO_CHECK_INCREMENTAL=1`` layered on top;
+  patched out) and the kernels -- with ``REPRO_CHECK=1`` forcing
+  every kernel on (so small corpora actually exercise them) while
+  every schedule mutation is also checked against a scratch rebuild;
 * that such a corpus run reaches every kernel :data:`THRESHOLDS` names.
 """
 
@@ -41,7 +41,7 @@ def corpus_digest(n_pes=8, n_statements=24, count=6, master_seed=11):
 class TestDispatchPolicy:
     def test_without_numpy_no_kernel_engages(self, monkeypatch, no_numpy):
         for check in ("0", "1"):
-            monkeypatch.setenv("REPRO_CHECK_KERNELS", check)
+            monkeypatch.setenv("REPRO_CHECK", check)
             for kernel in kernels.THRESHOLDS:
                 assert not kernels.use_numpy(kernel, 10**6)
         assert kernels.resolved_backend() == "python"
@@ -49,7 +49,7 @@ class TestDispatchPolicy:
 
     def test_thresholds_gate_each_kernel(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
         for kernel, threshold in kernels.THRESHOLDS.items():
             assert not kernels.use_numpy(kernel, threshold - 1)
             assert kernels.use_numpy(kernel, threshold)
@@ -57,7 +57,7 @@ class TestDispatchPolicy:
 
     def test_check_mode_overrides_thresholds(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         for kernel in kernels.THRESHOLDS:
             assert kernels.use_numpy(kernel, 1)
 
@@ -110,7 +110,7 @@ class TestDigestParity:
             baseline = corpus_digest()
         # Check mode forces every kernel on AND cross-checks each call
         # against the python implementation in-line.
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         with collect_metrics() as metrics:
             checked = corpus_digest()
         assert checked == baseline
@@ -125,7 +125,7 @@ class TestDigestParity:
         # entry missing from the dispatched set is a stale threshold,
         # and an extra kernel is one the table does not list.
         pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         kernels.reset_calls()
         corpus_digest()
         dispatched = {
@@ -141,11 +141,12 @@ class TestDigestParity:
         pytest.importorskip("numpy")
         with without_numpy():
             baseline = corpus_digest(n_statements=30, count=4, master_seed=3)
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
-        monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
-        assert (
-            corpus_digest(n_statements=30, count=4, master_seed=3) == baseline
-        )
+        # The one switch also verifies every schedule mutation.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        with collect_metrics() as metrics:
+            checked = corpus_digest(n_statements=30, count=4, master_seed=3)
+        assert checked == baseline
+        assert metrics.counter("views.check.checked") > 0
 
     def test_natural_threshold_crossing_matches_python(self, monkeypatch):
         # The assign kernel is sized by step-[2] candidates (active PEs
@@ -153,7 +154,7 @@ class TestDigestParity:
         # here; lowered, the threshold is crossed without check mode, and
         # the vectorized scan must draw identical tie-break choices.
         pytest.importorskip("numpy")
-        monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
         monkeypatch.setitem(kernels.THRESHOLDS, "assign", 4)
         with without_numpy():
             baseline = corpus_digest(n_pes=128, n_statements=40, count=4)

@@ -26,18 +26,18 @@ from repro.obs.prof import (
     KERNEL,
     PEAK_RSS,
     STAGE,
-    STAGE_RSS,
     UNTIMED,
     folded_stacks,
     metrics_block,
     profile_block,
     rss_bytes,
+    sample_rss,
     track_gc,
     write_folded,
 )
 from repro.obs.spans import collect_trace
 from repro.perf.gctune import batched_gc
-from repro.perf.parallel import fork_available
+from repro.perf.parallel import _run_worker, fork_available
 from repro.perf.timers import stage
 from repro.synth.generator import GeneratorConfig
 
@@ -93,7 +93,6 @@ class TestProfilerMerge:
     def _parts(self) -> list[MetricsRegistry]:
         a = _registry(**{"assign.numpy": [(0.1, 0.1), (0.3, 0.2)]})
         _time(a, STAGE + "schedule", 0.5, 0.4)
-        a.inc(STAGE_RSS + "schedule", 1024)
         a.inc(BYTES + "genvec.drawn", 4096)
         a.observe(PEAK_RSS, 500)
         a.observe(GC_PAUSE, 0.01)
@@ -103,8 +102,6 @@ class TestProfilerMerge:
         )
         _time(b, STAGE + "schedule", 0.25, 0.25)
         _time(b, STAGE + "generate", 0.125, 0.1)
-        b.inc(STAGE_RSS + "schedule", 512)
-        b.inc(STAGE_RSS + "generate", 256)
         b.observe(PEAK_RSS, 900)
         c = _registry(**{"genvec.python": [(0.5, 0.4)]})
         c.inc(BYTES + "genvec.drawn", 1000)
@@ -165,7 +162,6 @@ class TestProfilerMerge:
         assert stages["schedule"]["wall_s"] == pytest.approx(0.75)
         assert stages["schedule"]["cpu_s"] == pytest.approx(0.65)
         assert stages["generate"]["max_s"] == pytest.approx(0.125)
-        assert profile["stage_rss"] == {"schedule": 1536, "generate": 256}
         assert profile["bytes"] == {"genvec.drawn": 5096, "batch.tensors": 2000}
         assert profile["peak_rss"] == 900  # max-merge, not sum
         assert profile["gc"]["pauses"] == 2
@@ -213,7 +209,6 @@ class TestBlocks:
         assert profile_block(MetricsRegistry()) == {
             "stages": {},
             "kernels": {},
-            "stage_rss": {},
             "bytes": {},
             "peak_rss": 0,
             "gc": {"pauses": 0, "pause_s": 0.0, "collected": 0},
@@ -246,12 +241,19 @@ class TestCollection:
         assert reg.counter("kernels.calls.assign.python") == 1
 
     def test_rss_accounting(self):
+        """Peak RSS is sampled once, where a registry's work ends: a
+        stage block takes no sample, a pool worker samples before it
+        ships its registry, and ``sample_rss`` records the peak."""
         assert rss_bytes() > 0
         with collect_metrics() as reg:
             with stage("generate"):
                 pass
-        # sampled when the stage closes
-        assert profile_block(reg)["peak_rss"] >= rss_bytes() - 1024
+        assert profile_block(reg)["peak_rss"] == 0
+        _, (_, shipped) = _run_worker(POINT, [1, 2], None, True, (False, True))
+        peak = profile_block(MetricsRegistry.from_dict(shipped))["peak_rss"]
+        assert 0 < peak <= rss_bytes()
+        sampled = sample_rss(reg)
+        assert profile_block(reg)["peak_rss"] == sampled >= peak
 
     def test_track_gc_records_pauses(self):
         with collect_metrics() as reg:
@@ -285,16 +287,6 @@ class TestCollection:
         assert profile["kernels"]["k.numpy"]["count"] == 1
         assert profile["stages"]["merge"]["wall_s"] == pytest.approx(0.5)
         add_to_current(shipped)  # no active registry: silent no-op
-
-    def test_disable_kill_switch(self, monkeypatch):
-        monkeypatch.setattr("repro.obs.metrics.DISABLED", True)
-        with collect_metrics() as reg:
-            assert current_registry() is None
-            with kernels.timed("assign", "python"):
-                pass
-            with stage("schedule"):
-                pass
-        assert reg.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_corpus_run_populates_kernel_timings(self):
         with collect_metrics() as reg:

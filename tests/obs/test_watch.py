@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.obs.watch import (
-    WatchConfig,
+    FACTOR,
     explain_regression,
     load_trajectory,
     watch_trajectory,
@@ -68,11 +68,12 @@ class TestTimeSeries:
         )
         assert report.ok
 
-    def test_factor_configurable(self):
-        entries = [entry(), entry(), entry(wall=18.0)]
-        assert watch_trajectory(entries, WatchConfig(factor=2.0)).ok
-        loose = watch_trajectory(entries, WatchConfig(factor=1.1))
-        assert not loose.ok
+    def test_factor_is_the_ci_constant(self):
+        # median(prior)=10: limit=max(FACTOR x 10, 10 + 1.5)=20.
+        assert FACTOR == 2.0
+        assert watch_trajectory([entry(), entry(), entry(wall=20.0)]).ok
+        report = watch_trajectory([entry(), entry(), entry(wall=20.5)])
+        assert {v.name for v in report.flagged} == {"wall_s"}
 
     def test_baseline_excludes_other_workloads(self):
         # Quick default-preset runs must not drag the baseline median

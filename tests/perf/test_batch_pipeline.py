@@ -58,7 +58,7 @@ def reject_everything(case) -> bool:  # module-level: must cross processes
 def reference_digest(point, accept=None) -> str:
     """The specification: one case at a time on the python path."""
     with without_numpy(), pytest.MonkeyPatch.context() as mp:
-        mp.delenv("REPRO_CHECK_KERNELS", raising=False)
+        mp.delenv("REPRO_CHECK", raising=False)
         cases = generate_cases(
             point.generator,
             point.count,
@@ -91,7 +91,7 @@ def use_backend(request, backend):
     vectorized generator and the batched scheduler run on every chunk,
     however small."""
     monkeypatch = request.getfixturevalue("monkeypatch")
-    monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
     if backend == "python":
         request.getfixturevalue("no_numpy")
         return
@@ -183,7 +183,7 @@ class TestDigestParityMatrix:
     @needs_numpy
     def test_check_mode_batched(self, monkeypatch):
         """Check mode forces the kernels on and cross-checks per case."""
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         point = batch_point(count=6)
         with obs_metrics.collect_metrics() as metrics:
             digest = results_digest(run_corpus(point, jobs=1))
@@ -215,7 +215,7 @@ class TestBatchedScheduling:
 
     def test_small_chunk_falls_back_to_python(self, monkeypatch):
         """Below the batch threshold the per-case scheduler runs."""
-        monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
         from repro.core.batchrun import schedule_cases
         from repro.synth.corpus import compile_case
 

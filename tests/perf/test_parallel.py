@@ -5,7 +5,7 @@ whole performance layer: a seeded corpus scheduled with ``jobs=4`` must
 produce the *identical* ``ScheduleResult`` sequence as the serial loop
 (compared via a stable digest), so parallelization can never silently
 move paper numbers.  Pool workers run the same chunk code as a serial
-run, so ``REPRO_CHECK_KERNELS=1`` cross-checks them the same way.
+run, so ``REPRO_CHECK=1`` cross-checks them the same way.
 """
 
 from __future__ import annotations
@@ -205,12 +205,12 @@ def _drop_first_cases_last_tuple(compile_drawn_cases):
 @needs_fork
 @pytest.mark.skipif(not kernels.have_numpy(), reason="numpy not available")
 class TestCheckMode:
-    """``REPRO_CHECK_KERNELS=1`` cross-checks the vectorized front end in
+    """``REPRO_CHECK=1`` cross-checks the vectorized front end in
     pool workers, and their dispatch tallies reach the parent."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
     def test_workers_cross_check_genvec(self, monkeypatch, compact):
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         # Fork workers inherit the patch.
         monkeypatch.setattr(
             genvec,
@@ -221,7 +221,7 @@ class TestCheckMode:
             run_corpus(small_point(count=16), jobs=2, compact=compact)
 
     def test_clean_run_tallies_genvec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         point = small_point(count=16)
         with obs_metrics.collect_metrics() as metrics:
             parallel_digest = results_digest(run_corpus(point, jobs=2))

@@ -135,6 +135,32 @@ class TestCollection:
         names = {s.name: s for s in tracer.spans}
         assert names["schedule"].parent == names["generate"].id
 
+    def test_stage_with_registry_alone_is_a_timer(self):
+        from repro.obs.prof import Timer
+
+        with collect_metrics() as reg:
+            block = stage("merge")
+            assert isinstance(block, Timer)
+            with block:
+                pass
+        assert _stages(reg)["merge"]["count"] == 1
+
+    def test_stage_times_a_block_that_raises(self):
+        with collect_metrics() as reg:
+            with pytest.raises(KeyError):
+                with stage("simulate"):
+                    raise KeyError("boom")
+        assert _stages(reg)["simulate"]["count"] == 1
+
+    def test_stage_feeds_tracer_and_registry_together(self):
+        from repro.obs.spans import collect_trace
+
+        with collect_trace() as tracer, collect_metrics() as reg:
+            with stage("insert"):
+                pass
+        assert [s.name for s in tracer.spans] == ["insert"]
+        assert _stages(reg)["insert"]["count"] == 1
+
     def test_stage_accumulates_into_collector(self):
         with collect_metrics() as reg:
             with stage("generate"):
@@ -209,9 +235,7 @@ class TestPipelineIntegration:
         --explain`` reads."""
         data = run_perf_report(count=4, jobs=jobs).data
         profile = data["profile"]
-        assert set(profile) == {
-            "stages", "kernels", "stage_rss", "bytes", "peak_rss", "gc"
-        }
+        assert set(profile) == {"stages", "kernels", "bytes", "peak_rss", "gc"}
         assert set(profile["gc"]) == {"pauses", "pause_s", "collected"}
         assert set(profile["stages"]) == set(STAGES)
         assert profile["kernels"]

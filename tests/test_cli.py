@@ -540,11 +540,13 @@ class TestWatchCommand:
         assert main(["watch", "--trajectory", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
-    def test_factor_flag(self, capsys, tmp_path):
+    def test_factor_flag_is_an_argparse_error(self, capsys, tmp_path):
         path = self._series(tmp_path, 10.0, 10.0, 18.0)
-        assert main(["watch", "--trajectory", path]) == 0
+        assert main(["watch", "--trajectory", path]) == 0  # 18 <= 2 x 10
         capsys.readouterr()
-        assert main(["watch", "--trajectory", path, "--factor", "1.1"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["watch", "--trajectory", path, "--factor", "1.1"])
+        assert exc.value.code == 2
 
     def test_bad_line_exits_two(self, capsys, tmp_path):
         path = tmp_path / "traj.jsonl"
